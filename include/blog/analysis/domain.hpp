@@ -4,7 +4,7 @@
 /// The lattice is a per-argument groundness/mode abstraction:
 ///
 ///          Unknown
-///          /     \
+///          /     \      (higher = less precise)
 ///      Ground   Free
 ///          \     /
 ///          Bottom

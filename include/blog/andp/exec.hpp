@@ -71,6 +71,12 @@ struct AndParallelResult {
   std::size_t forked_items = 0;  ///< work items pushed (0 on legacy path)
   std::size_t join_resolves = 0;  ///< JoinNode combines run (0 or 1)
   double join_micros = 0.0;       ///< time inside the join combine
+  /// Sharing traffic of the unified job (all 0 on the legacy path): the
+  /// scheduler's steals and the per-worker copy-on-steal totals.
+  std::uint64_t steals = 0;             ///< chains moved by steal-half
+  std::uint64_t handles_published = 0;  ///< choices shared as handles
+  std::uint64_t handles_granted = 0;    ///< handles a thief claimed
+  std::uint64_t cells_copied = 0;       ///< cells deep-copied by workers
   std::size_t sequential_nodes = 0;   // Σ group nodes (one-processor cost)
   std::size_t critical_path_nodes = 0;  // max group nodes (parallel cost)
   JoinStats join;

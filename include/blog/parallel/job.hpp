@@ -47,6 +47,9 @@ struct JobControls {
   std::chrono::steady_clock::time_point deadline{};
   /// Cooperative cancel flag (may be null). Checked once per expansion.
   const std::atomic<bool>* cancel = nullptr;
+  /// Raised by any worker whose branch was cut at the depth limit: an
+  /// emptied partition then reports DepthLimited, not Exhausted.
+  std::atomic<bool> depth_limited{false};
   std::mutex sol_mu;                         ///< guards solutions + hook
   std::vector<search::Solution> solutions;   ///< recorded answers
   /// Streaming hook: called under sol_mu once per recorded answer, in
@@ -80,8 +83,10 @@ struct JobControls {
   /// count hit zero) rather than being stopped.
   [[nodiscard]] search::Outcome outcome(bool exhausted) const {
     const int cause = stop_cause.load(std::memory_order_relaxed);
-    return exhausted || cause < 0 ? search::Outcome::Exhausted
-                                  : static_cast<search::Outcome>(cause);
+    if (!exhausted && cause >= 0) return static_cast<search::Outcome>(cause);
+    return depth_limited.load(std::memory_order_relaxed)
+               ? search::Outcome::DepthLimited
+               : search::Outcome::Exhausted;
   }
 };
 

@@ -26,6 +26,10 @@ enum class Outcome : std::uint8_t {
   SolutionLimit,   ///< stopped after max_solutions answers
   BudgetExceeded,  ///< node budget or wall-clock deadline hit
   Cancelled,       ///< caller cancelled the search (executor/job cancel)
+  /// Every branch was expanded or cut, but at least one was cut at
+  /// `ExpanderOptions::max_depth`: answers below the cutoff may be
+  /// missing, so the set is not complete.
+  DepthLimited,
 };
 
 /// Stable display name of an outcome.
@@ -76,7 +80,9 @@ struct SearchResult {
   std::vector<Solution> solutions;  ///< recorded answers
   SearchStats stats;                ///< work counters
   Outcome outcome = Outcome::BudgetExceeded;  ///< set on every return path
-  bool exhausted = false;  ///< frontier emptied (space fully explored)
+  /// Frontier emptied: every branch was expanded or cut at the depth
+  /// limit (`outcome` tells the two apart: Exhausted vs DepthLimited).
+  bool exhausted = false;
 };
 
 /// Observer hooks for tree recording (theory module, traces, machine sim).

@@ -274,11 +274,17 @@ public:
     return spill_counters_;
   }
 
-  /// Publish unpublished pending choices as copy-on-steal handles until at
-  /// most `keep` remain private, shallowest first (the lowest bounds — the
-  /// biggest subtrees — are what thieves should see). The choices stay on
-  /// the stack; only the handles leave, via `out`, for the scheduler.
-  /// Returns the number published. `owner` is this worker's scheduler id.
+  /// Decide the sharing of undecided pending choices until at most `keep`
+  /// remain undecided, shallowest first (the lowest bounds — the biggest
+  /// subtrees — are what thieves should see). A *leaf* choice (the
+  /// selected goal was the parent's only goal and the clause is a fact, so
+  /// the child has no goals left) stays local: running it in place is one
+  /// head match, while a steal costs a claim CAS, an as-of
+  /// materialization, a deposit and a rescan — §6's freed processor takes
+  /// a chain only when the transfer pays for itself. Every other choice is
+  /// published as a copy-on-steal handle; it stays on the stack and only
+  /// the handle leaves, via `out`, for the scheduler. Returns the number
+  /// published. `owner` is this worker's scheduler id.
   std::size_t publish_overflow(unsigned owner, std::size_t keep,
                                std::vector<std::shared_ptr<SpillHandle>>& out);
 
@@ -308,6 +314,13 @@ private:
   /// Resolve a published choice about to be dropped: reclaim (kOwnerTaken)
   /// or kill (kDead) through the claim CAS.
   void resolve_for_drop(PendingChoice& c);
+  /// True when `c`'s child has no goals left: `c` resolves the parent's
+  /// only goal with a fact (see publish_overflow).
+  [[nodiscard]] bool is_leaf(const PendingChoice& c) const;
+  /// Leave the decided prefix consistent after removing stack entry `i`.
+  void forget_decided(std::size_t i) {
+    if (i < decided_count_) --decided_count_;
+  }
   /// Owner-side consumption of a (possibly published) choice: win the
   /// claim CAS (true — the choice is ours) or grant a thief's claim via
   /// rollback-based materialization (false — the choice is consumed).
@@ -346,7 +359,11 @@ private:
   std::shared_ptr<std::atomic<std::uint64_t>> claim_ping_ =
       std::make_shared<std::atomic<std::uint64_t>>(0);
   std::uint64_t serviced_ping_ = 0;
-  std::size_t published_count_ = 0;  // stack entries with a live handle
+  /// Length of the *decided* stack prefix: entries publish_overflow has
+  /// already passed over, each either published (live handle) or a leaf
+  /// kept local (no handle). Everything above it is undecided and
+  /// unpublished.
+  std::size_t decided_count_ = 0;
   SpillCounters spill_counters_;
 
   // scratch (reused across steps to avoid allocation churn)

@@ -63,7 +63,8 @@ struct QueryBudget {
 
 enum class QueryStatus : std::uint8_t {
   Ok,          // complete answer set (search exhausted, or a cache hit)
-  Truncated,   // a budget/limit cut the search short: answers are partial
+  Truncated,   // a budget, limit or depth cutoff cut the search short:
+               // answers are partial
   Rejected,    // admission queue full — shed, nothing was searched
   ParseError,  // malformed query text
   Cancelled,   // cancelled via QueryTicket::cancel(); answers are partial
@@ -306,7 +307,7 @@ public:
   struct Stats {
     std::uint64_t queries = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t truncated = 0;   // budget/limit cutoffs reported
+    std::uint64_t truncated = 0;   // budget/limit/depth cutoffs reported
     std::uint64_t rejected = 0;
     std::uint64_t parse_errors = 0;
     std::uint64_t cancelled = 0;   // QueryTicket::cancel completions

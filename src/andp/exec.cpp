@@ -308,6 +308,12 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
                           static_cast<std::uint32_t>(n_items));
   }
   if (out.outcome == search::Outcome::Exhausted) out.outcome = pr.outcome;
+  out.steals = pr.network.steals;
+  for (const parallel::WorkerStats& w : pr.workers) {
+    out.handles_published += w.handles_published;
+    out.handles_granted += w.handles_granted;
+    out.cells_copied += w.cells_copied;
+  }
 
   // Per-group node attribution from the fork-tag counters.
   std::vector<std::size_t> group_nodes(plan.analysis.groups.size(), 0);

@@ -238,9 +238,10 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
         }
         if (policy == ParallelOptions::SpillPolicy::Lazy) {
           // Copy-on-steal: publish handles for everything beyond the
-          // (possibly adaptive) local capacity. The choices stay on the
-          // stack — sharing costs a shared_ptr per choice, not a copy —
-          // and the deep copy happens only if a thief claims one.
+          // (possibly adaptive) local capacity except leaf choices, which
+          // cost less to run in place than any steal. The choices stay on
+          // the stack — sharing costs a shared_ptr per choice, not a copy
+          // — and the deep copy happens only if a thief claims one.
           const std::size_t keep =
               net.local_capacity_hint(slot, cfg.local_capacity);
           handles.clear();
@@ -287,6 +288,7 @@ void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
         net.on_expanded(0);
         break;
       case search::NodeOutcome::DepthLimit:
+        ctl.depth_limited.store(true, std::memory_order_relaxed);
         net.on_expanded(0);
         break;
     }

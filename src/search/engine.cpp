@@ -22,9 +22,20 @@ const char* outcome_name(Outcome o) {
     case Outcome::SolutionLimit: return "solution-limit";
     case Outcome::BudgetExceeded: return "budget-exceeded";
     case Outcome::Cancelled: return "cancelled";
+    case Outcome::DepthLimited: return "depth-limited";
   }
   return "?";
 }
+
+namespace {
+
+/// How an emptied frontier ended: complete, or complete only up to the
+/// depth cutoff.
+Outcome exhausted_outcome(const SearchStats& st) {
+  return st.depth_cutoffs > 0 ? Outcome::DepthLimited : Outcome::Exhausted;
+}
+
+}  // namespace
 
 SearchResult SearchEngine::solve(const Query& q, const SearchOptions& opts,
                                  SearchObserver* observer) {
@@ -197,7 +208,7 @@ SearchResult SearchEngine::solve_inplace(const Query& q,
   flush_burst();
   result.stats.expand.trail_writes = runner.trail_pushes();
   result.exhausted = true;
-  result.outcome = Outcome::Exhausted;
+  result.outcome = exhausted_outcome(result.stats);
   return result;
 }
 
@@ -292,7 +303,7 @@ SearchResult SearchEngine::solve_detached(const Query& q,
     }
   }
   result.exhausted = true;
-  result.outcome = Outcome::Exhausted;
+  result.outcome = exhausted_outcome(result.stats);
   return result;
 }
 

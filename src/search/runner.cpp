@@ -11,7 +11,7 @@ namespace blog::search {
 Runner::Runner(const Expander& expander) : ex_(expander) {}
 
 void Runner::load_root(const Query& q) {
-  assert(stack_.empty());
+  assert(stack_.empty() && decided_count_ == 0);
   trail_.clear();  // refers to the arena being discarded — forget, not undo
   store_.clear();
   vmap_.clear();
@@ -33,7 +33,7 @@ void Runner::load_root(const Query& q) {
 }
 
 void Runner::load(DetachedNode n) {
-  assert(stack_.empty());
+  assert(stack_.empty() && decided_count_ == 0);
   // The detached store is already compacted; adopt it wholesale instead of
   // re-importing. The trail refers to the store being discarded, so it is
   // forgotten, not undone.
@@ -317,7 +317,6 @@ void Runner::apply(PendingChoice&& c) {
 
 bool Runner::resolve_owner_take(PendingChoice& c, ExpandStats* stats) {
   if (!c.handle) return true;
-  --published_count_;
   for (;;) {
     std::uint32_t s = c.handle->state.load(std::memory_order_acquire);
     if (s == SpillHandle::kAvailable) {
@@ -353,6 +352,7 @@ bool Runner::activate_top(ExpandStats* stats) {
   PendingChoice c = std::move(stack_.back());
   stack_.pop_back();
   pop_min();
+  forget_decided(stack_.size());
   const bool published = c.handle != nullptr;
   if (!resolve_owner_take(c, stats)) return false;  // granted to a thief
   if (published) {
@@ -365,7 +365,6 @@ bool Runner::activate_top(ExpandStats* stats) {
 
 void Runner::resolve_for_drop(PendingChoice& c) {
   if (!c.handle) return;
-  --published_count_;
   for (;;) {
     std::uint32_t s = c.handle->state.load(std::memory_order_acquire);
     if (s == SpillHandle::kOwnerTaken) return;  // already resolved for us
@@ -388,15 +387,20 @@ void Runner::drop_top() {
   resolve_for_drop(stack_.back());
   stack_.pop_back();
   pop_min();
+  forget_decided(stack_.size());
 }
 
 std::size_t Runner::prune_pending(double cutoff) {
   const std::size_t before = stack_.size();
   // Published choices are skipped: a thief may hold their claim, and the
   // engines that prune (sequential incumbent search) never publish.
-  std::erase_if(stack_, [&](const PendingChoice& c) {
+  const auto prunable = [&](const PendingChoice& c) {
     return c.handle == nullptr && c.bound > cutoff;
-  });
+  };
+  decided_count_ -= static_cast<std::size_t>(std::count_if(
+      stack_.begin(),
+      stack_.begin() + static_cast<std::ptrdiff_t>(decided_count_), prunable));
+  std::erase_if(stack_, prunable);
   rebuild_min(0);
   return before - stack_.size();
 }
@@ -459,6 +463,7 @@ DetachedNode Runner::detach_sibling(std::size_t index, ExpandStats* stats) {
          "level; use detach_all for older choices");
   stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(index));
   rebuild_min(index);
+  forget_decided(index);
   return materialize(std::move(c), stats);
 }
 
@@ -468,6 +473,7 @@ void Runner::detach_overflow(std::size_t base, std::size_t keep,
   if (stack_.size() <= keep) return;
   const std::size_t k = stack_.size() - keep;
   assert(base + k <= stack_.size());
+  assert(decided_count_ <= base && "fresh siblings are never decided");
   for (std::size_t i = 0; i < k; ++i) {
     PendingChoice& c = stack_[base + i];
     assert(c.cp.trail == trail_.mark() && c.cp.store == store_.watermark() &&
@@ -497,6 +503,7 @@ std::vector<DetachedNode> Runner::detach_all(ExpandStats* stats) {
     out.push_back(materialize(std::move(c), stats));
   }
   minb_.clear();
+  decided_count_ = 0;
   has_state_ = false;
   return out;
 }
@@ -534,27 +541,34 @@ DetachedNode Runner::detach_state(ExpandStats* stats) {
   return d;
 }
 
+bool Runner::is_leaf(const PendingChoice& c) const {
+  return c.goals->size() == 1 &&
+         ex_.program().clause(c.clause).body().empty();
+}
+
 std::size_t Runner::publish_overflow(
     unsigned owner, std::size_t keep,
     std::vector<std::shared_ptr<SpillHandle>>& out) {
-  const std::size_t unpublished = stack_.size() - published_count_;
-  if (unpublished <= keep) return 0;
-  std::size_t k = unpublished - keep;
-  const std::size_t published = k;
-  // Published choices always form a stack prefix: publishing fills from
-  // the bottom, pops/grants/fulfills only ever remove published entries
-  // from inside it, and new choices push unpublished on top. So the scan
-  // starts at the prefix end — O(children), not O(depth), per expansion.
-  for (std::size_t i = published_count_; k > 0; ++i, --k) {
-    PendingChoice& c = stack_[i];
-    assert(c.handle == nullptr && "published prefix invariant violated");
+  if (stack_.size() - decided_count_ <= keep) return 0;
+  const std::size_t end = stack_.size() - keep;
+  std::size_t published = 0;
+  // Decided choices always form a stack prefix: deciding fills from the
+  // bottom, pops/grants/fulfills only ever remove entries from inside it,
+  // and new choices push undecided on top. So the scan starts at the
+  // prefix end — O(children), not O(depth), per expansion. A leaf kept
+  // local joins the prefix without a handle and never stops the scan, so
+  // the rule choices stacked above it are still published.
+  for (; decided_count_ < end; ++decided_count_) {
+    PendingChoice& c = stack_[decided_count_];
+    assert(c.handle == nullptr && "decided prefix invariant violated");
+    if (is_leaf(c)) continue;
     auto h = std::make_shared<SpillHandle>();
     h->bound = c.bound;
     h->owner = owner;
     h->claim_ping = claim_ping_;
     c.handle = h;
     out.push_back(std::move(h));
-    ++published_count_;
+    ++published;
     ++spill_counters_.published;
   }
   return published;
@@ -566,9 +580,9 @@ std::size_t Runner::fulfill_claims(ExpandStats* stats) {
   if (ping == serviced_ping_) return 0;
   serviced_ping_ = ping;
   std::size_t granted = 0;
-  // Published choices form a stack prefix (see publish_overflow), so the
-  // claim scan never needs to walk past it.
-  for (std::size_t i = 0; i < published_count_;) {
+  // Published choices lie inside the decided prefix (see
+  // publish_overflow), so the claim scan never needs to walk past it.
+  for (std::size_t i = 0; i < decided_count_;) {
     PendingChoice& c = stack_[i];
     std::uint32_t expect = SpillHandle::kClaimed;
     if (c.handle != nullptr &&
@@ -577,7 +591,7 @@ std::size_t Runner::fulfill_claims(ExpandStats* stats) {
       PendingChoice taken = std::move(c);
       stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(i));
       rebuild_min(i);
-      --published_count_;
+      --decided_count_;
       taken.handle->node = materialize_as_of(taken, stats);
       taken.handle->state.store(SpillHandle::kReady,
                                 std::memory_order_release);

@@ -36,6 +36,23 @@ TEST(Parallel2, RepeatedRunsStableSolutionSet) {
   }
 }
 
+TEST(Parallel2, DepthCutoffIsReportedAsDepthLimited) {
+  // One worker's branch hits max_depth: the emptied partition must not
+  // claim a complete answer set, while an uncut query still does.
+  Interpreter ip;
+  ip.consult_string("mk(0,z). mk(N,s(T)) :- N>0, M is N-1, mk(M,T).");
+  ParallelOptions o;
+  o.workers = 4;
+  ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), o);
+  const auto cut = pe.solve(ip.parse_query("mk(1000,T)"));
+  EXPECT_EQ(cut.outcome, search::Outcome::DepthLimited);
+  EXPECT_TRUE(cut.exhausted);
+  EXPECT_TRUE(cut.solutions.empty());
+  const auto full = pe.solve(ip.parse_query("mk(100,T)"));
+  EXPECT_EQ(full.outcome, search::Outcome::Exhausted);
+  EXPECT_EQ(full.solutions.size(), 1u);
+}
+
 TEST(Parallel2, TinyLocalCapacityForcesSharing) {
   Interpreter ip;
   ip.consult_string(workloads::layered_dag(4, 3));

@@ -1,6 +1,7 @@
 // Work-stealing scheduler tests: deque/steal/termination unit behaviour,
 // the max_solutions exact-count fix under contention, copy-on-steal spill
 // handle lifecycle (claim CAS, owner fulfillment, invalidation races),
+// the leaf-aware sharing rule (leaf choices are never published),
 // claim-wait mailboxes, NUMA-biased victim choice, stale-bound refresh,
 // timer-driven D-threshold preemption, and steal-storm stress with tiny
 // deques (the BLOG_TSAN CI job runs all of these under the thread
@@ -13,6 +14,7 @@
 
 #include "blog/parallel/engine.hpp"
 #include "blog/parallel/topology.hpp"
+#include "blog/search/runner.hpp"
 #include "blog/workloads/workloads.hpp"
 
 namespace blog::parallel {
@@ -376,6 +378,124 @@ TEST(CopyOnSteal, DeadHandleAbandonsTheClaimingThief) {
   h->state.store(search::SpillHandle::kDead, std::memory_order_release);
   s.on_expanded(0);  // the dropped chain leaves the outstanding count
   thief.join();
+}
+
+// ------------------------------------------ leaf-aware sharing rule ----
+
+std::uint64_t total_published(const ParallelResult& r) {
+  std::uint64_t n = 0;
+  for (const auto& w : r.workers) n += w.handles_published;
+  return n;
+}
+
+TEST(CopyOnSteal, LeafFactEnumerationPublishesNoHandles) {
+  // Every choice of a one-goal fact enumeration is a leaf: running it in
+  // place is one head match, stealing it a claim, a copy and a deposit.
+  // Even at capacity 1 none may be shared, and the answers must not move.
+  std::string program;
+  for (int i = 0; i < 1000; ++i)
+    program += "f(" + std::to_string(i) + ").\n";
+  const auto expected = sequential_expected(program, "f(X)");
+  ASSERT_EQ(expected.size(), 1000u);
+  ParallelOptions po;
+  po.workers = 4;
+  po.local_capacity = 1;
+  po.adaptive_capacity = false;
+  po.update_weights = false;
+  po.spill_policy = Spill::Lazy;
+  const auto r = solve_parallel(program, "f(X)", po);
+  EXPECT_EQ(texts(r), expected);
+  EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(total_published(r), 0u);
+}
+
+TEST(CopyOnSteal, RuleChoicesAboveALeafFactStillPublish) {
+  // p/1's last clause is a fact, so its choice sits at the bottom of the
+  // sibling block (clause order puts the first clause on top). The leaf
+  // joins the decided prefix without a handle; the rule choices stacked
+  // above it must still be published, and a claim on one of them must be
+  // granted across the leaf.
+  const std::string program =
+      "p(X) :- q(X).\n"
+      "p(X) :- r(X).\n"
+      "p(X) :- s(X).\n"
+      "p(z).\n"
+      "q(a). r(b). s(c).\n";
+  Interpreter ip;
+  ip.consult_string(program);
+  const search::Expander ex(ip.program(), ip.weights(), &ip.builtins());
+  search::Runner runner(ex);
+  runner.load_root(ip.parse_query("p(X)"));
+  ASSERT_EQ(runner.expand().children, 4u);
+  std::vector<std::shared_ptr<search::SpillHandle>> out;
+  EXPECT_EQ(runner.publish_overflow(/*owner=*/0, /*keep=*/1, out), 2u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(runner.pending_at(0).handle, nullptr);  // p(z): kept local
+  EXPECT_EQ(runner.pending_at(1).handle, out[0]);   // s/1 rule
+  EXPECT_EQ(runner.pending_at(2).handle, out[1]);   // r/1 rule
+  EXPECT_EQ(runner.pending_at(3).handle, nullptr);  // q/1 rule: kept
+  // Nothing undecided beyond `keep` is left: a second pass is a no-op.
+  EXPECT_EQ(runner.publish_overflow(0, 1, out), 0u);
+
+  // A thief claims the r/1 choice; the owner grants it from behind the
+  // leaf and the rest of the stack is untouched.
+  ASSERT_TRUE(out[1]->try_claim());
+  EXPECT_EQ(runner.fulfill_claims(), 1u);
+  EXPECT_EQ(out[1]->state.load(), search::SpillHandle::kReady);
+  ASSERT_EQ(runner.pending(), 3u);
+  EXPECT_EQ(runner.pending_at(0).handle, nullptr);
+  EXPECT_EQ(runner.pending_at(1).handle, out[0]);
+
+  // Draining the stack in place reclaims the remaining handle for free.
+  std::vector<std::string> answers;
+  while (runner.pending() > 0 || runner.has_state()) {
+    if (!runner.has_state() && !runner.activate_top()) continue;
+    const auto step = runner.expand();
+    if (step.outcome == search::NodeOutcome::Solution)
+      answers.push_back(runner.extract_solution().text);
+  }
+  std::sort(answers.begin(), answers.end());
+  EXPECT_EQ(answers, (std::vector<std::string>{"X=a", "X=c", "X=z"}));
+  const auto& sc = runner.spill_counters();
+  EXPECT_EQ(sc.published, 2u);
+  EXPECT_EQ(sc.granted, 1u);
+  EXPECT_EQ(sc.reclaimed_free, 1u);
+}
+
+TEST(CopyOnSteal, MixedLeafAndRuleStormConservesHandles) {
+  // End to end on a program whose leaf facts sit below rule choices: rule
+  // choices are still shared, and every published handle is consumed
+  // exactly once (reclaimed, granted or migrated).
+  std::string program =
+      "p(X,Y) :- q(X), p2(Y).\n"
+      "p(X,Y) :- r(Y), p2(X).\n"
+      "p(z,z).\n"
+      "p2(Y) :- q(Y).\n"
+      "p2(w).\n";
+  for (int i = 0; i < 40; ++i)
+    program += "q(" + std::to_string(i) + "). r(a" + std::to_string(i) + ").\n";
+  const auto expected = sequential_expected(program, "p(X,Y)");
+  for (int run = 0; run < 3; ++run) {
+    ParallelOptions po;
+    po.workers = 4;
+    po.local_capacity = 1;
+    po.steal_deque_capacity = 1;
+    po.adaptive_capacity = false;
+    po.update_weights = false;
+    po.spill_policy = Spill::Lazy;
+    const auto r = solve_parallel(program, "p(X,Y)", po);
+    EXPECT_EQ(texts(r), expected) << "run " << run;
+    EXPECT_TRUE(r.exhausted);
+    std::uint64_t reclaimed = 0, granted = 0, migrated = 0;
+    for (const auto& w : r.workers) {
+      reclaimed += w.handles_reclaimed;
+      granted += w.handles_granted;
+      migrated += w.handles_migrated;
+    }
+    EXPECT_GT(total_published(r), 0u) << "run " << run;
+    EXPECT_EQ(reclaimed + granted + migrated, total_published(r))
+        << "run " << run;
+  }
 }
 
 // ---------------------------------------------- claim-wait mailboxes ----

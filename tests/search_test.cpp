@@ -117,8 +117,32 @@ TEST(Search, DepthLimitCutsInfiniteTree) {
   o.expander.max_depth = 16;
   auto r = ip.solve("loop(a)", o);
   EXPECT_TRUE(r.exhausted);
+  EXPECT_EQ(r.outcome, Outcome::DepthLimited);
   EXPECT_TRUE(r.solutions.empty());
   EXPECT_GT(r.stats.depth_cutoffs, 0u);
+}
+
+TEST(Search, DepthCutoffIsNeverReportedComplete) {
+  // mk(1000,T) needs 1001 arcs; the default max_depth is 512. The search
+  // empties its frontier with no answer, which is not the same as "there
+  // is no answer": the outcome must say the set was cut.
+  Interpreter ip;
+  ip.consult_string("mk(0,z). mk(N,s(T)) :- N>0, M is N-1, mk(M,T).");
+  for (const Strategy st : {Strategy::DepthFirst, Strategy::BreadthFirst,
+                            Strategy::BestFirst}) {
+    const auto cut = ip.solve("mk(1000,T)", opt(st));
+    EXPECT_EQ(cut.outcome, Outcome::DepthLimited) << strategy_name(st);
+    EXPECT_TRUE(cut.solutions.empty());
+    EXPECT_EQ(cut.stats.depth_cutoffs, 1u);
+    const auto full = ip.solve("mk(100,T)", opt(st));
+    EXPECT_EQ(full.outcome, Outcome::Exhausted) << strategy_name(st);
+    EXPECT_EQ(full.solutions.size(), 1u);
+  }
+  SearchObserver observed;  // the materializing path reports it too
+  SearchOptions o = opt(Strategy::DepthFirst);
+  EXPECT_EQ(ip.solve("mk(1000,T)", o, &observed).outcome,
+            Outcome::DepthLimited);
+  EXPECT_STREQ(outcome_name(Outcome::DepthLimited), "depth-limited");
 }
 
 TEST(Search, RecursiveListProgram) {

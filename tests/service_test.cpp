@@ -43,6 +43,33 @@ TEST(Service, AnswersMatchColdInterpreter) {
   EXPECT_EQ(r.answers, cold_texts(workloads::figure1_family(), "gf(sam,G)"));
 }
 
+TEST(Service, DepthCutoffIsTruncatedAndNeverCached) {
+  // mk(1000,T) is cut at the default max_depth (512) with no answer. That
+  // is a partial set: Truncated, and a repeat must search again instead
+  // of serving a cached "no".
+  const std::string program =
+      "mk(0,z). mk(N,s(T)) :- N>0, M is N-1, mk(M,T).";
+  for (const unsigned workers : {1u, 4u}) {
+    QueryService svc;
+    svc.consult(program);
+    QueryRequest req;
+    req.text = "mk(1000,T)";
+    req.workers = workers;
+    const auto cut = svc.submit(req).wait();
+    EXPECT_EQ(cut.status, QueryStatus::Truncated) << workers;
+    EXPECT_EQ(cut.outcome, search::Outcome::DepthLimited) << workers;
+    EXPECT_TRUE(cut.answers.empty());
+    EXPECT_FALSE(svc.submit(req).wait().from_cache) << workers;
+    EXPECT_EQ(svc.stats().truncated, 2u) << workers;
+
+    req.text = "mk(10,T)";  // inside the limit: complete and cached
+    const auto full = svc.submit(req).wait();
+    EXPECT_EQ(full.status, QueryStatus::Ok) << workers;
+    EXPECT_EQ(full.answers.size(), 1u);
+    EXPECT_TRUE(svc.submit(req).wait().from_cache) << workers;
+  }
+}
+
 TEST(Service, ParseErrorReported) {
   QueryService svc;
   const auto r = svc.query("gf(sam,");
