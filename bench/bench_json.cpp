@@ -6,7 +6,7 @@
 // (nodes/sec, cells_copied per
 // expansion, trail writes per expansion, copy-on-steal traffic,
 // claim-wait latency, local vs remote steal split, queries/sec, cache
-// hit rate, persistent-pool vs spawn-per-query qps + tail latency,
+// hit rate, persistent-pool storm qps + tail latency,
 // and unified AND/OR scheduler speedup + join cost),
 // so the perf trajectory of the engine is recorded PR over PR. Every file carries a "host" record (NUMA node
 // count, CPUs per node, CPU model) so baselines compared across
@@ -90,7 +90,6 @@ struct Entry {
   bool has_numa = false;
   std::uint64_t steals_local = 0;
   std::uint64_t steals_remote = 0;
-  std::uint64_t claim_wait_spins = 0;
   std::uint64_t claim_wait_us = 0;
   std::uint64_t mailbox_parked = 0;
   std::uint64_t mailbox_drained = 0;
@@ -155,7 +154,6 @@ void write_json(const std::string& path, const std::vector<Entry>& entries,
     if (e.has_numa)
       out << ", \"steals_local\": " << e.steals_local
           << ", \"steals_remote\": " << e.steals_remote
-          << ", \"claim_wait_spins\": " << e.claim_wait_spins
           << ", \"claim_wait_us\": " << e.claim_wait_us
           << ", \"mailbox_parked\": " << e.mailbox_parked
           << ", \"mailbox_drained\": " << e.mailbox_drained
@@ -229,8 +227,7 @@ Entry run_parallel(const std::string& name, const std::string& program,
                    parallel::SchedulerKind sched,
                    parallel::ParallelOptions::SpillPolicy spill,
                    std::size_t max_nodes = 1'000'000,
-                   std::size_t local_capacity = 8, bool adaptive = false,
-                   bool claim_mailboxes = true) {
+                   std::size_t local_capacity = 8, bool adaptive = false) {
   engine::Interpreter ip;
   ip.consult_string(program);
   parallel::ParallelOptions po;
@@ -241,7 +238,6 @@ Entry run_parallel(const std::string& name, const std::string& program,
   po.limits.max_nodes = max_nodes;
   po.local_capacity = local_capacity;
   po.adaptive_capacity = adaptive;
-  po.claim_mailboxes = claim_mailboxes;
   parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
   // Untimed warm-up: repopulates the pages the previous entry's teardown
   // returned to the OS, so the timed run measures the scheduler rather
@@ -267,7 +263,6 @@ Entry run_parallel(const std::string& name, const std::string& program,
   e.steals = r.network.steals;
   e.steals_local = r.network.steals_local;
   e.steals_remote = r.network.steals_remote;
-  e.claim_wait_spins = r.network.claim_wait_spins;
   e.claim_wait_us = r.network.claim_wait_us;
   e.mailbox_parked = r.network.mailbox_parked;
   e.mailbox_drained = r.network.mailbox_drained;
@@ -424,20 +419,18 @@ void write_service_json(const std::string& path,
 }
 
 // ---------------------------------------------------------------- executor --
-// The persistent-pool headline: the same 16-client mixed storm (queries
-// drawn from the pool, all parallel requests, cache OFF so every request
-// actually searches) served two ways — "spawn" is the legacy path
-// (use_executor = false: every query spawns, pins and joins its own worker
-// threads on the calling thread) and "pool" is the executor (workers
-// created and pinned once; each query is an enqueued job). Identical
-// request multisets, identical admission settings; the difference is
-// per-query thread lifecycle cost, which is exactly what the executor
-// removes. bench_compare gates pool_qps_speedup >= 2x and
-// pool_p99_improvement >= 1 (pool p99 must not exceed spawn p99).
+// The persistent-pool storm: 16 clients issue short parallel requests
+// (queries drawn from the pool, cache OFF so every request actually
+// searches) against one service whose pool workers were created and
+// pinned once; each query is an enqueued job. Recorded for qps and tail
+// latency; bench_compare gates storm_answers_match (the storm's answers
+// byte-match a cold interpreter). That no query spawns threads is pinned
+// deterministically by executor_test's
+// ServiceStorm.MultiWorkerQueriesSpawnNoThreads.
 
 /// Short queries: per-request work is tens of microseconds, so the fixed
-/// per-query cost — thread spawn/pin/join in legacy mode, one enqueue in
-/// pool mode — is the measured quantity rather than search time.
+/// per-query cost — one enqueue — is the measured quantity rather than
+/// search time.
 const std::vector<std::string>& storm_pool() {
   static const std::vector<std::string> pool = {
       "gf(sam,G)", "gf(dan,G)", "gf(X,Z)", "f(X,Y)",
@@ -445,13 +438,11 @@ const std::vector<std::string>& storm_pool() {
   return pool;
 }
 
-ServiceEntry run_executor_storm(const std::string& name, bool use_pool,
-                                unsigned clients) {
+ServiceEntry run_executor_storm(const std::string& name, unsigned clients) {
   service::ServiceOptions so;
   so.cache_enabled = false;  // measure execution, not the answer cache
   so.update_weights = false;
   so.max_concurrent_queries = 8;
-  so.use_executor = use_pool;
   service::QueryService svc(so);
   svc.consult(service_program());
 
@@ -465,7 +456,7 @@ ServiceEntry run_executor_storm(const std::string& name, bool use_pool,
         req.text = storm_pool()[(static_cast<std::size_t>(c) * 31u +
                                  static_cast<std::size_t>(i) * 7u) %
                                 storm_pool().size()];
-        req.workers = 2;  // every request pays the spawn in legacy mode
+        req.workers = 2;  // every request is a two-slot pool job
         req.strategy = i % 3 == 0 ? search::Strategy::DepthFirst
                                   : search::Strategy::BestFirst;
         svc.query(req);
@@ -787,55 +778,38 @@ int main(int argc, char** argv) {
   }
   write_json(dir + "BENCH_spill.json", sp, sp_summary);
 
-  // Locality-aware scheduling headline: the same deep binary-countdown
-  // under copy-on-steal, with the legacy claim-wait spin vs claim-wait
-  // mailboxes. Mailboxes eliminate the thief-side spin/sleep on claimed
-  // handles by construction (claim_wait_spins collapses to ~0) while the
-  // claim→deposit latency (claim_wait_us) overlaps useful scanning; the
-  // local/remote steal split records how victim scans respect the node
-  // topology (all-local on single-node hosts). Adaptivity is pinned off
-  // so both modes see identical publish pressure.
+  // Locality-aware scheduling: the deep binary-countdown under
+  // copy-on-steal with claim-wait mailboxes at w ∈ {2,4,8}. A thief never
+  // waits on a claimed handle: it parks the claim and keeps scanning, and
+  // the claim→deposit latency (claim_wait_us) overlaps useful scanning;
+  // the local/remote steal split records how victim scans respect the
+  // node topology (all-local on single-node hosts). Adaptivity is pinned
+  // off so every worker count sees the same publish pressure.
   std::vector<Entry> numa;
   for (const unsigned w : {2u, 4u, 8u}) {
-    for (const auto [mail, tag] :
-         {std::pair{false, "_spin"}, std::pair{true, "_mailbox"}}) {
-      Entry e = run_parallel("deep_w" + std::to_string(w) + tag, deep,
-                             "probe", w, parallel::SchedulerKind::WorkStealing,
-                             Spill::Lazy, kDeepNodes, kDeepCapacity,
-                             /*adaptive=*/false, mail);
-      e.has_numa = true;
-      numa.push_back(e);
-    }
+    Entry e = run_parallel("deep_w" + std::to_string(w) + "_mailbox", deep,
+                           "probe", w, parallel::SchedulerKind::WorkStealing,
+                           Spill::Lazy, kDeepNodes, kDeepCapacity,
+                           /*adaptive=*/false);
+    e.has_numa = true;
+    numa.push_back(e);
   }
   std::vector<std::pair<std::string, double>> numa_summary;
   {
-    const Entry *spin = nullptr, *mail = nullptr;
-    std::uint64_t spin_all = 0, mail_all = 0;
+    // Every parked claim must come back out of its thief's mailbox as a
+    // consumed deposit: pooled over all worker counts (the w8 arm alone
+    // parks only a few dozen claims), drained / parked is what CI gates.
+    // No parked claim at all reads 0 and fails the gate too — the
+    // copy-on-steal path then moved no work.
+    std::uint64_t parked = 0, drained = 0;
     for (const Entry& e : numa) {
-      if (e.name == "deep_w8_spin") spin = &e;
-      if (e.name == "deep_w8_mailbox") mail = &e;
-      (e.name.ends_with("_spin") ? spin_all : mail_all) += e.claim_wait_spins;
+      parked += e.mailbox_parked;
+      drained += e.mailbox_drained;
     }
-    if (spin != nullptr && mail != nullptr) {
-      // Floor the mailbox denominators: by construction they are ~0.
-      numa_summary.emplace_back(
-          "deep_w8_spin_reduction",
-          static_cast<double>(spin->claim_wait_spins) /
-              static_cast<double>(std::max<std::uint64_t>(
-                  1, mail->claim_wait_spins)));
-      // All worker counts pooled: this is what CI gates (>= 5x) — the w8
-      // number alone rides on few enough claims that a quiet run could
-      // dip under the floor without any code change.
-      numa_summary.emplace_back(
-          "spin_reduction_all",
-          static_cast<double>(spin_all) /
-              static_cast<double>(std::max<std::uint64_t>(1, mail_all)));
-      numa_summary.emplace_back(
-          "deep_w8_mailbox_speedup",
-          spin->nodes_per_sec() > 0.0
-              ? mail->nodes_per_sec() / spin->nodes_per_sec()
-              : 0.0);
-    }
+    numa_summary.emplace_back(
+        "mailbox_drain_ratio_all",
+        static_cast<double>(drained) /
+            static_cast<double>(std::max<std::uint64_t>(1, parked)));
   }
   write_json(dir + "BENCH_numa.json", numa, numa_summary);
 
@@ -849,32 +823,18 @@ int main(int argc, char** argv) {
   for (const unsigned c : {1u, 4u, 16u}) svc.push_back(run_service(c, serial_qps));
   write_service_json(dir + "BENCH_service.json", svc, serial_qps);
 
-  // Persistent pool vs spawn-per-query, identical 16-client storm.
+  // Persistent pool, 16-client storm of short parallel requests.
   std::vector<ServiceEntry> exec_entries;
-  exec_entries.push_back(
-      run_executor_storm("storm_c16_spawn", /*use_pool=*/false, 16));
-  exec_entries.push_back(
-      run_executor_storm("storm_c16_pool", /*use_pool=*/true, 16));
-  std::vector<std::pair<std::string, double>> exec_summary;
-  {
-    const ServiceEntry& spawn = exec_entries[0];
-    const ServiceEntry& pool = exec_entries[1];
-    exec_summary.emplace_back(
-        "pool_qps_speedup", spawn.qps() > 0.0 ? pool.qps() / spawn.qps() : 0.0);
-    // Floor the denominator: a sub-bucket pool p99 reads as 0.0 ms.
-    exec_summary.emplace_back(
-        "pool_p99_improvement",
-        spawn.latency_p99_ms / std::max(pool.latency_p99_ms, 0.05));
-    exec_summary.emplace_back(
-        "storm_answers_match",
-        spawn.answers_match_cold && pool.answers_match_cold ? 1.0 : 0.0);
-  }
+  exec_entries.push_back(run_executor_storm("storm_c16_pool", 16));
+  const std::vector<std::pair<std::string, double>> exec_summary = {
+      {"storm_answers_match",
+       exec_entries[0].answers_match_cold ? 1.0 : 0.0}};
   write_service_json(dir + "BENCH_executor.json", exec_entries,
                      serial_qps, exec_summary);
 
   // Unified AND/OR scheduler (§7 riding §6's machinery): the sequential
-  // andp path (per-group sequential engine solves) vs the unified
-  // work-stealing path at w ∈ {1,2,8} on a balanced deductive-db
+  // engine vs the unified work-stealing path at w ∈ {1,2,8} on a balanced
+  // deductive-db
   // conjunction — two shared-variable semi-join groups of equal cost.
   // `and_or_w8_speedup` is the paper's processor-model speedup of the w8
   // unified run over the one-processor sequential cost (Σ group nodes /
@@ -904,31 +864,26 @@ int main(int argc, char** argv) {
 
     bool match = true;
     double w8_speedup = 0.0, w8_join_ms = 0.0;
-    const auto run_andor = [&](const std::string& name, unsigned workers,
-                               bool unified) {
+    for (const unsigned workers : {1u, 2u, 8u}) {
       engine::Interpreter ip;
       ip.consult_string(prog);
       andp::AndParallelOptions o;
       o.search.update_weights = false;
-      o.unified = unified;
       o.workers = workers;
       const auto t0 = Clock::now();
       const auto res = andp::solve_and_parallel(ip, query, o);
       Entry e;
-      e.name = name;
+      e.name = "unified_w" + std::to_string(workers);
       e.secs = seconds_since(t0);
       e.nodes = res.sequential_nodes;
       e.solutions = res.solutions.size();
       match &= res.solutions == expected;
-      if (unified && workers == 8) {
+      if (workers == 8) {
         w8_speedup = res.and_speedup();
         w8_join_ms = res.join_micros / 1000.0;
       }
       andor.push_back(e);
-    };
-    run_andor("andp_sequential", 1, /*unified=*/false);
-    for (const unsigned w : {1u, 2u, 8u})
-      run_andor("unified_w" + std::to_string(w), w, /*unified=*/true);
+    }
     andor_summary.emplace_back("answers_match", match ? 1.0 : 0.0);
     andor_summary.emplace_back("and_or_w8_speedup", w8_speedup);
     andor_summary.emplace_back("join_ms_w8", w8_join_ms);

@@ -1,8 +1,8 @@
 // AND-parallel execution of conjunctive queries (§7), unified with the
 // OR-parallel scheduler (§6).
 //
-// The conjunction is partitioned into independence groups (plan.hpp) and —
-// by default — every group is forked as stealable work items into ONE
+// The conjunction is partitioned into independence groups (plan.hpp) and
+// every group is forked as stealable work items into ONE
 // work-stealing scheduler partition: OR-alternatives inside a group and
 // sibling AND-groups are stolen by the same idle workers under the same
 // victim policy, bounds, and termination detector. A parallel::JoinNode
@@ -10,9 +10,6 @@
 // detector fires, the join resolves exactly once and combines the answer
 // sets (cross product across groups — no shared variables, so every
 // combination is consistent; semi-join inside shared-variable groups).
-//
-// The pre-unification path (`unified = false`) solves each group with its
-// own sequential engine run and is kept for regression comparison.
 //
 // Cost model: sequential work = Σ group work; AND-parallel elapsed work =
 // max group work (+ the join/combination cost), which is the speedup the
@@ -29,19 +26,16 @@ struct AndParallelOptions {
   /// Per-group engine options. `limits` governs the whole conjunction
   /// (node budget and deadline are global across groups; max_solutions
   /// bounds the *joined* answer set — reported as Outcome::SolutionLimit,
-  /// never a silent truncation). `cancel`/`trace` apply to both paths.
+  /// never a silent truncation). `cancel`/`trace` reach every forked item.
   search::SearchOptions search;
   bool use_semi_join = true;  // join strategy for shared-variable groups
   /// Fork decision: compile-time verdict first (default), always the
   /// run-time scan, or no forking at all.
   ForkMode fork = ForkMode::Static;
-  /// Run the forked items on the unified work-stealing scheduler
-  /// (default). false = the pre-unification per-group sequential solves.
-  bool unified = true;
-  unsigned workers = 4;  ///< unified path: scheduler worker threads
-  /// Which scheduler realizes the partition on the unified path.
+  unsigned workers = 4;  ///< scheduler worker threads
+  /// Which scheduler realizes the partition.
   parallel::SchedulerKind scheduler = parallel::SchedulerKind::WorkStealing;
-  /// When set, the unified path runs as one job (with forked child roots)
+  /// When set, the conjunction runs as one job (with forked child roots)
   /// on this persistent pool instead of spawning its own workers; `workers`
   /// becomes the job's slot request.
   parallel::Executor* executor = nullptr;
@@ -67,12 +61,11 @@ struct AndParallelResult {
   /// partial (SolutionLimit excepted: the set is the first max_solutions
   /// of the complete joined set).
   search::Outcome outcome = search::Outcome::Exhausted;
-  bool unified = false;          ///< ran on the unified scheduler
-  std::size_t forked_items = 0;  ///< work items pushed (0 on legacy path)
+  std::size_t forked_items = 0;  ///< work items pushed
   std::size_t join_resolves = 0;  ///< JoinNode combines run (0 or 1)
   double join_micros = 0.0;       ///< time inside the join combine
-  /// Sharing traffic of the unified job (all 0 on the legacy path): the
-  /// scheduler's steals and the per-worker copy-on-steal totals.
+  /// Sharing traffic of the job: the scheduler's steals and the
+  /// per-worker copy-on-steal totals.
   std::uint64_t steals = 0;             ///< chains moved by steal-half
   std::uint64_t handles_published = 0;  ///< choices shared as handles
   std::uint64_t handles_granted = 0;    ///< handles a thief claimed

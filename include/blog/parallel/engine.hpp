@@ -78,10 +78,8 @@ struct ParallelOptions {
   /// Claim-wait mailboxes (SpillPolicy::Lazy): a thief that wins a spill
   /// handle's claim CAS parks the handle in its private mailbox and keeps
   /// scanning other victims while the owner's copy is in flight, draining
-  /// deposits at the next acquire / D-threshold boundary. Off = the
-  /// legacy bounded spin/sleep wait on the claimed handle.
-  bool claim_mailboxes = true;
-  /// Most claims a thief may hold in its mailbox at once; at the cap the
+  /// deposits at the next acquire / D-threshold boundary. This caps how
+  /// many claims a thief may hold in its mailbox at once; at the cap the
   /// thief backs off and drains instead of forcing more owners into deep
   /// copies (matters when workers outnumber cores).
   std::uint32_t mailbox_claim_limit = 1;

@@ -37,8 +37,8 @@
 ///     when a remote minimum beats the best local one by more than a
 ///     configurable locality bias. Single-node hosts take the exact
 ///     pre-NUMA scan.
-///   - **Claim-wait mailboxes.** A thief that wins a handle's claim CAS no
-///     longer spins until the owner deposits the copy: the claimed handle
+///   - **Claim-wait mailboxes.** A thief that wins a handle's claim CAS
+///     never waits for the owner to deposit the copy: the claimed handle
 ///     is parked in the thief's private mailbox and the thief keeps
 ///     scanning other victims while the materialization is in flight. The
 ///     mailbox is drained — ready deposits consumed, surplus re-parked
@@ -102,10 +102,9 @@ struct SchedulerStats {
   std::uint64_t handle_claims = 0;      ///< thief claim CASes won
   std::uint64_t handle_grants = 0;      ///< claims that yielded a node
   std::uint64_t stale_discards = 0;     ///< dead/reclaimed entries dropped
-  /// Claim-wait traffic. With mailboxes on, spins stay ~0 by construction
-  /// (the thief never waits); `claim_wait_us` then measures the in-flight
-  /// latency from claim to drain rather than blocked wall time.
-  std::uint64_t claim_wait_spins = 0;   ///< yield/sleep iterations while waiting
+  /// Claim-wait traffic. The thief never blocks on a claim, so
+  /// `claim_wait_us` measures the in-flight latency from claim to mailbox
+  /// drain, not blocked wall time.
   std::uint64_t claim_wait_us = 0;      ///< µs from claim won to node in hand
   std::uint64_t mailbox_parked = 0;     ///< claims parked into thief mailboxes
   std::uint64_t mailbox_drained = 0;    ///< deposits consumed from mailboxes
@@ -140,9 +139,6 @@ struct SchedulerTuning {
   /// Bound units a *remote-node* published minimum must beat the best
   /// same-node candidate by before a scan crosses the interconnect.
   double locality_bias = 1.0;
-  /// Park won handle claims in the thief's mailbox (keep scanning while
-  /// the owner's copy is in flight) instead of spin/sleep-waiting.
-  bool claim_mailboxes = true;
   /// Most claims a thief may hold in its mailbox at once. The cap keeps
   /// an idle thief on an oversubscribed host from hoovering up every
   /// published handle (each claim forces its owner into a deep copy)
@@ -334,12 +330,6 @@ private:
     std::vector<MailEntry> mail;
   };
 
-  enum class ClaimWait {
-    Blocking,  // idle acquire: wait for the owner (stop-aware)
-    Bounded,   // D-threshold probe: bounded spin, then un-claim
-    Mailbox,   // park the claim in the thief's mailbox, keep scanning
-  };
-
   void publish(Deque& d);
   /// Owner-side EWMA update + capacity re-publication; called under
   /// `d.mu` by the worker that owns `d` while spilling.
@@ -353,7 +343,7 @@ private:
   /// Pop the best entry of a locked deque.
   Entry pop_best_locked(Deque& d);
   /// Append entries to `worker`'s deque under its lock (overflow /
-  /// steal-half loot / un-claimed handle re-parks).
+  /// steal-half loot / surplus mailbox deposits).
   void park_entries(unsigned worker, std::vector<Entry> es);
   /// The shared spill path of push_batch/push_handles: enqueue on `self`'s
   /// deque, sweep stale entries, shed overflow to a starving peer, adapt.
@@ -370,23 +360,15 @@ private:
   /// Steal the best chain of `victim` for `thief`; when `bulk`, also move
   /// half of the remainder into the thief's deque (idle steal-half).
   /// Returns nullopt if the victim is empty, no longer beats
-  /// `require_below` (stale published minimum), or a lazy target was lost
-  /// to its owner / un-claimed / parked in the mailbox — callers rescan.
-  /// `claim_capped` (may be null) is set when the best entry was a
-  /// claimable handle but the thief's mailbox is at its claim cap: the
-  /// caller should back off and drain rather than hot-rescan the victim.
+  /// `require_below` (stale published minimum), or the best entry was a
+  /// lazy handle — lost to its owner, or claimed and parked in the
+  /// thief's mailbox — callers rescan. `claim_capped` (may be null) is set
+  /// when the best entry was a claimable handle but the thief's mailbox is
+  /// at its claim cap: the caller should back off and drain rather than
+  /// hot-rescan the victim.
   std::optional<search::Node> steal_from(unsigned thief, unsigned victim,
                                          double require_below, bool bulk,
-                                         ClaimWait wait,
                                          bool* claim_capped = nullptr);
-  /// Wait on a claimed handle until the owner deposits the node (kReady),
-  /// kills it (kDead), or — in Bounded mode — the spin budget runs out
-  /// and the claim is reverted and re-parked on `thief`'s deque. In
-  /// Mailbox mode the handle is parked in `thief`'s mailbox instead and
-  /// nullopt returns immediately (the thief keeps scanning).
-  std::optional<search::Node> await_claim(
-      unsigned thief, std::shared_ptr<search::SpillHandle> h,
-      std::uint64_t entry_seq, ClaimWait wait);
   /// Drain `self`'s mailbox: drop dead entries, consume the best ready
   /// deposit whose bound is strictly below `require_below`, re-park every
   /// other ready deposit into `self`'s deque so the network sees it.
@@ -407,8 +389,8 @@ private:
   std::atomic<std::uint64_t> steals_local_{0}, steals_remote_{0};
   std::atomic<std::uint64_t> handles_published_{0}, handle_claims_{0},
       handle_grants_{0}, stale_discards_{0};
-  std::atomic<std::uint64_t> claim_wait_spins_{0}, claim_wait_us_{0},
-      mailbox_parked_{0}, mailbox_drained_{0}, stale_refreshes_{0};
+  std::atomic<std::uint64_t> claim_wait_us_{0}, mailbox_parked_{0},
+      mailbox_drained_{0}, stale_refreshes_{0};
   std::atomic<std::uint64_t> expansions_{0};
 };
 

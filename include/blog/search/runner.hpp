@@ -37,8 +37,7 @@ namespace blog::search {
 /// State machine (owner = the worker whose Runner holds the choice):
 ///
 ///   kAvailable ──thief CAS──► kClaimed ──owner CAS──► kFulfilling ──► kReady ──thief──► kTaken
-///       │                        │  ▲                                      (node valid)
-///       │                        │  └──thief un-claim (bounded wait)◄──┘
+///       │                                                                  (node valid)
 ///       ├──owner CAS──► kOwnerTaken   (reclaimed in place; entry stale)
 ///       └──owner CAS──► kDead         (dropped under stop; entry stale)
 ///   kClaimed ──owner CAS──► kDead     (owner shutting down; thief gives up)
@@ -47,13 +46,10 @@ namespace blog::search {
 /// activating/rolling back a choice and a thief stealing it: exactly one
 /// side wins, and a thief that loses treats the deque entry as stale.
 ///
-/// How the thief waits out kClaimed→kReady is the scheduler's choice
-/// (the owner-side protocol above is identical either way): the legacy
-/// claim-wait spins/sleeps on the handle until the deposit lands, while
-/// **claim-wait mailboxes** (the default) park the claimed handle in the
-/// thief's private mailbox so the thief keeps scanning other victims and
-/// consumes the deposit at a later acquire boundary. See
-/// docs/ARCHITECTURE.md for both transition tables.
+/// The thief never waits out kClaimed→kReady: the scheduler parks the
+/// claimed handle in the thief's private **claim-wait mailbox**, the thief
+/// keeps scanning other victims and consumes the deposit at a later
+/// acquire boundary. See docs/ARCHITECTURE.md for the transition tables.
 struct SpillHandle {
   enum State : std::uint32_t {
     kAvailable,   ///< published; owner reclaim and thief claim race the CAS
@@ -74,8 +70,7 @@ struct SpillHandle {
   std::shared_ptr<std::atomic<std::uint64_t>> claim_ping;
 
   /// Thief side: claim the handle. On success the owner is pinged and the
-  /// caller must wait for kReady / kDead (or un-claim via a
-  /// kClaimed→kAvailable CAS after a bounded wait).
+  /// caller holds the claim until it reads kReady or kDead.
   bool try_claim() {
     std::uint32_t expect = kAvailable;
     if (!state.compare_exchange_strong(expect, kClaimed,

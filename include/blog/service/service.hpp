@@ -84,31 +84,27 @@ struct QueryResponse {
   std::string error;
 };
 
-/// Counting gate: at most `max_running` callers proceed at once; up to
-/// `max_queued` more wait — parked on `enter()` (the sync path) or
-/// registered without blocking via `try_queue()` (the async path) — and
-/// beyond that admission refuses (load shedding instead of unbounded
-/// queueing).
+/// Counting gate that never blocks: at most `max_running` callers proceed
+/// at once; up to `max_queued` more are registered as waiters via
+/// `try_queue()` — the caller keeps the queued work itself — and beyond
+/// that admission refuses (load shedding instead of unbounded queueing).
 class AdmissionGate {
 public:
   AdmissionGate(std::size_t max_running, std::size_t max_queued);
 
-  /// Block until admitted (true) or refuse immediately when the wait queue
-  /// is full (false). Every successful enter() needs one leave().
-  bool enter();
   /// Admit without waiting: true and a running slot when one is free,
   /// false otherwise (nothing is counted as rejected — the caller decides
   /// between try_queue() and shedding). Pairs with leave().
   bool try_enter();
-  /// Register an async waiter without parking the calling thread. False
+  /// Register a waiter without parking the calling thread. False
   /// (counted rejected) when the wait queue is full. A true return must be
   /// resolved by exactly one promote_queued() or abandon_queued().
   bool try_queue();
-  /// Move one async waiter into a running slot (the service dispatches the
-  /// corresponding queued job). False when no async waiter is registered
+  /// Move one waiter into a running slot (the service dispatches the
+  /// corresponding queued job). False when no waiter is registered
   /// or no slot is free. Pairs with leave().
   bool promote_queued();
-  /// Unregister an async waiter without admitting it (cancelled while
+  /// Unregister a waiter without admitting it (cancelled while
   /// queued).
   void abandon_queued();
   void leave();
@@ -118,18 +114,16 @@ public:
     std::uint64_t queued = 0;    // admissions that had to wait first
     std::uint64_t rejected = 0;
     std::size_t running = 0;     // current occupancy
-    std::size_t waiting = 0;     // parked callers + registered async waiters
+    std::size_t waiting = 0;     // registered waiters
   };
   [[nodiscard]] Stats stats() const;
 
 private:
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::size_t max_running_;
   std::size_t max_queued_;
   std::size_t running_ = 0;
-  std::size_t waiting_ = 0;        // parked in enter()
-  std::size_t waiting_async_ = 0;  // registered via try_queue()
+  std::size_t waiting_ = 0;  // registered via try_queue()
   std::uint64_t admitted_ = 0;
   std::uint64_t queued_ = 0;
   std::uint64_t rejected_ = 0;
@@ -152,14 +146,9 @@ struct ServiceOptions {
   // sink is forwarded into the engines they run. Also settable at runtime
   // via set_trace(). Must outlive the service (or be cleared first).
   obs::TraceSink* trace = nullptr;
-  // Persistent executor. True (default): the service owns a worker pool
-  // (created, NUMA-placed and pinned once); every query becomes a
-  // schedulable job and query() is a thin submit().wait() wrapper. False:
-  // the legacy path — each query runs on its caller's thread, spawning
-  // (and joining) its own worker threads when workers > 1. Kept as the
-  // spawn-per-query baseline BENCH_executor measures against.
-  bool use_executor = true;
-  // Pool size when use_executor; 0 = one worker per hardware thread.
+  // Size of the service's persistent worker pool (created, NUMA-placed and
+  // pinned once; every query runs on it as a schedulable job); 0 = one
+  // worker per hardware thread.
   unsigned executor_workers = 0;
   // Pull-based AnswerStream consumers are woken once per `stream_chunk`
   // streamed answers (and at close) instead of per answer; callback
@@ -278,17 +267,14 @@ public:
   /// Never blocks — a full pool queues the job (bounded), a full queue
   /// sheds it (the ticket completes immediately with Rejected). Parse
   /// errors and cache hits also complete the ticket before returning.
-  /// Requires use_executor (the default); without it the query runs to
-  /// completion on the calling thread and the ticket returns finished.
   QueryTicket submit(const QueryRequest& req, SubmitOptions sopts = {});
 
-  /// Synchronous wrapper: submit(req).wait() under use_executor, the
-  /// legacy caller-thread path otherwise.
+  /// Synchronous wrapper: submit(req).wait().
   QueryResponse query(const QueryRequest& req);
   QueryResponse query(std::string_view text, const QueryBudget& budget = {});
 
-  /// The pool (null when use_executor is false). Exposed for stats and
-  /// for standalone jobs against the published snapshot.
+  /// The pool (never null). Exposed for stats and for standalone jobs
+  /// against the published snapshot.
   [[nodiscard]] parallel::Executor* executor() { return executor_.get(); }
 
   /// The currently published snapshot (callers may run their own engines
@@ -344,8 +330,6 @@ public:
 private:
   friend class QueryTicket;
 
-  QueryResponse run_admitted(const QueryRequest& req, const search::Query& q,
-                             const ProgramSnapshot& snap);
   void deliver_answer(detail::TicketState* st, const std::string& text);
   void dispatch_locked(const std::shared_ptr<detail::TicketState>& st);
   void on_job_complete(const std::shared_ptr<detail::TicketState>& st,

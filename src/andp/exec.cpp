@@ -125,108 +125,6 @@ std::vector<std::pair<Symbol, term::TermRef>> group_vars(
   return vs;
 }
 
-/// Pre-unification execution: each group solved by its own sequential
-/// engine run (kept for regression comparison). Limits are threaded
-/// across groups — the node budget is global, and a group solve that ends
-/// on anything but Exhausted propagates its outcome instead of joining a
-/// partial relation.
-void solve_legacy(engine::Interpreter& ip, const term::Store& store,
-                  const std::vector<std::pair<Symbol, term::TermRef>>& qvars,
-                  const std::vector<term::TermRef>& goals, GoalVarCache& cache,
-                  const ForkPlan& plan, const AndParallelOptions& opts,
-                  AndParallelResult& out) {
-  std::size_t nodes_used = 0;
-  const std::size_t max_nodes = opts.search.limits.max_nodes;
-  // Per-group engine options: the remaining global node budget, no
-  // solution cap (max_solutions bounds the joined set, not a group's
-  // relation — capping here would silently truncate cross-products).
-  const auto group_opts = [&] {
-    search::SearchOptions o = opts.search;
-    o.limits.max_solutions = std::numeric_limits<std::size_t>::max();
-    o.limits.max_nodes = max_nodes - std::min(nodes_used, max_nodes);
-    return o;
-  };
-  const auto check = [&](const RelationResult& rr) {
-    nodes_used += rr.nodes;
-    if (rr.outcome == search::Outcome::Exhausted) return true;
-    out.outcome = rr.outcome;
-    return false;
-  };
-
-  Relation combined;
-  bool first = true;
-  for (std::size_t g = 0; g < plan.analysis.groups.size(); ++g) {
-    const auto& group = plan.analysis.groups[g];
-    GroupReport grep;
-    grep.goal_indices = group;
-
-    std::vector<term::TermRef> ggoals;
-    for (const std::size_t gi : group) ggoals.push_back(goals[gi]);
-    const auto gvars = group_vars(store, qvars, goals, group, cache);
-
-    Relation grel;
-    const auto& item_ids = plan.group_items[g];
-    if (plan.items[item_ids.front()].per_goal) {
-      // Shared-variable group: per-goal relations combined by semi-join.
-      bool join_ok = true;
-      std::vector<Relation> rels;
-      for (const std::size_t id : item_ids) {
-        const WorkItem& item = plan.items[id];
-        auto rr = solve_to_relation(ip, store, {goals[item.goal_indices[0]]},
-                                    item.vars, group_opts());
-        grep.nodes_expanded += rr.nodes;
-        if (!check(rr)) {
-          out.solutions.clear();
-          return;
-        }
-        if (!rr.all_ground) {
-          join_ok = false;
-          break;
-        }
-        rels.push_back(std::move(rr.rel));
-      }
-      if (join_ok && !rels.empty()) {
-        grel = std::move(rels.front());
-        for (std::size_t r = 1; r < rels.size(); ++r)
-          grel = semi_join_then_join(grel, rels[r], &out.join);
-      } else {
-        // Fall back to sequential resolution of the whole group.
-        auto rr = solve_to_relation(ip, store, ggoals, gvars, group_opts());
-        grep.nodes_expanded += rr.nodes;
-        if (!check(rr)) {
-          out.solutions.clear();
-          return;
-        }
-        grel = std::move(rr.rel);
-      }
-    } else {
-      auto rr = solve_to_relation(ip, store, ggoals, gvars, group_opts());
-      grep.nodes_expanded = rr.nodes;
-      if (!check(rr)) {
-        out.solutions.clear();
-        return;
-      }
-      grel = std::move(rr.rel);
-    }
-
-    grep.solutions = grel.size();
-    out.sequential_nodes += grep.nodes_expanded;
-    out.critical_path_nodes = std::max(out.critical_path_nodes, grep.nodes_expanded);
-    out.groups.push_back(std::move(grep));
-
-    // Combine with previous groups: disjoint schemas ⇒ cross product.
-    if (first) {
-      combined = std::move(grel);
-      first = false;
-    } else {
-      combined = hash_join(combined, grel, &out.join);
-    }
-    if (combined.rows.empty() && !combined.schema.empty()) break;
-  }
-
-  render_solutions(combined, qvars, out.solutions);
-}
-
 /// Unified execution: all work items forked into one scheduler partition
 /// (standalone workers or an Executor job), answers deposited into a
 /// JoinNode, combined exactly once after the partition's termination
@@ -237,7 +135,6 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
                    ForkPlan& plan, const AndParallelOptions& opts,
                    AndParallelResult& out) {
   const std::size_t n_items = plan.items.size();
-  out.unified = true;
   out.forked_items = n_items;
 
   parallel::JoinNode jn(n_items);
@@ -351,7 +248,7 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
         } else {
           // A goal's relation did not ground its variables: the per-goal
           // split is unsound for this group — re-solve it whole,
-          // sequentially (same fallback as the legacy path).
+          // sequentially.
           std::vector<term::TermRef> ggoals;
           for (const std::size_t gi : group) ggoals.push_back(goals[gi]);
           search::SearchOptions o = opts.search;
@@ -439,10 +336,7 @@ AndParallelResult solve_and_parallel(engine::Interpreter& ip,
   out.shared_vars = plan.analysis.shared_vars;
   out.static_independent = plan.static_independent;
 
-  if (opts.unified)
-    solve_unified(ip, store, rt.variables, goals, var_cache, plan, opts, out);
-  else
-    solve_legacy(ip, store, rt.variables, goals, var_cache, plan, opts, out);
+  solve_unified(ip, store, rt.variables, goals, var_cache, plan, opts, out);
 
   apply_solution_limit(out, opts.search.limits.max_solutions);
   return out;

@@ -26,7 +26,6 @@ ParallelResult ParallelEngine::solve_forked(
   tuning.local_capacity_seed = opts_.local_capacity;
   tuning.numa_aware = opts_.numa_aware;
   tuning.locality_bias = opts_.numa_locality_bias;
-  tuning.claim_mailboxes = opts_.claim_mailboxes;
   tuning.mailbox_claim_limit = opts_.mailbox_claim_limit;  // scheduler clamps
   tuning.stale_refresh_us = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
       opts_.stale_refresh_interval.count(), 0,

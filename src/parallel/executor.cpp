@@ -164,7 +164,6 @@ JobTicket Executor::submit(JobRequest req) {
     // claim a locality the attachment order cannot guarantee. The pool
     // threads themselves are NUMA-placed and pinned once at startup.
     tuning.numa_aware = false;
-    tuning.claim_mailboxes = r.opts.claim_mailboxes;
     tuning.mailbox_claim_limit = r.opts.mailbox_claim_limit;
     tuning.stale_refresh_us =
         static_cast<std::uint32_t>(std::clamp<std::int64_t>(

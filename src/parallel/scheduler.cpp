@@ -446,95 +446,9 @@ std::optional<search::Node> WorkStealingScheduler::drain_mailbox(
   return taken;
 }
 
-std::optional<search::Node> WorkStealingScheduler::await_claim(
-    unsigned thief, std::shared_ptr<SpillHandle> h, std::uint64_t entry_seq,
-    ClaimWait wait) {
-  if (wait == ClaimWait::Mailbox) {
-    // Claim-wait mailbox: don't wait at all. Park the claimed handle in
-    // the thief's mailbox — the owner deposits the materialized state
-    // into it (kReady) at its next expansion boundary — and go back to
-    // scanning other victims. The deposit is picked up by drain_mailbox
-    // on a later acquire / D-threshold boundary.
-    const auto owner = static_cast<std::uint32_t>(h->owner);
-    deques_[thief]->mail.push_back(MailEntry{std::move(h), now_us()});
-    mailbox_parked_.fetch_add(1, std::memory_order_relaxed);
-    obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
-               EventKind::kMailboxPark, owner);
-    return std::nullopt;
-  }
-  // Liveness: the owner services claims at its next expansion boundary
-  // (it cannot be blocked in acquire() while this handle lives — a worker
-  // only goes idle with an empty stack, and an empty stack has no live
-  // handles). Under stop, the owner's shutdown path marks the handle
-  // kDead instead.
-  constexpr unsigned kBoundedSpins = 256;
-  const std::int64_t t0 = now_us();
-  std::uint64_t waited = 0;
-  unsigned spins = 0;
-  const auto flush_spins = [&] {
-    if (waited > 0)
-      claim_wait_spins_.fetch_add(waited, std::memory_order_relaxed);
-  };
-  for (;;) {
-    const std::uint32_t s = h->state.load(std::memory_order_acquire);
-    if (s == SpillHandle::kReady) {
-      search::Node n = std::move(h->node);
-      h->state.store(SpillHandle::kTaken, std::memory_order_release);
-      handle_grants_.fetch_add(1, std::memory_order_relaxed);
-      pops_.fetch_add(1, std::memory_order_relaxed);
-      obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
-                 EventKind::kHandleGrant, static_cast<std::uint32_t>(h->owner));
-      if (h->owner != thief)
-        record_steal(thief,
-                     h->owner % static_cast<unsigned>(deques_.size()), 1);
-      claim_wait_us_.fetch_add(
-          static_cast<std::uint64_t>(std::max<std::int64_t>(0, now_us() - t0)),
-          std::memory_order_relaxed);
-      flush_spins();
-      return n;
-    }
-    if (s == SpillHandle::kDead) {
-      obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
-                 EventKind::kHandleDead, static_cast<std::uint32_t>(h->owner));
-      flush_spins();
-      return std::nullopt;  // chain was dropped
-    }
-    if (stop_.load(std::memory_order_relaxed)) {
-      flush_spins();
-      return std::nullopt;  // abandon the claim; the owner kills it on exit
-    }
-    if (wait == ClaimWait::Bounded && spins >= kBoundedSpins) {
-      std::uint32_t expect = SpillHandle::kClaimed;
-      if (h->state.compare_exchange_strong(expect, SpillHandle::kAvailable,
-                                           std::memory_order_acq_rel)) {
-        // Un-claim: re-park the entry on our own deque so the chain is
-        // not lost to the network, and go back to local work.
-        std::vector<Entry> one;
-        one.push_back(Entry{h->bound, entry_seq, search::Node{}, std::move(h)});
-        park_entries(thief, std::move(one));
-        flush_spins();
-        return std::nullopt;
-      }
-      // Owner advanced to kFulfilling/kReady: the node is moments away —
-      // yield instead of hard-spinning on the CAS while it lands.
-      ++waited;
-      std::this_thread::yield();
-      continue;
-    }
-    ++waited;
-    if (spins < 32) {
-      ++spins;
-      std::this_thread::yield();
-    } else {
-      ++spins;
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-    }
-  }
-}
-
 std::optional<search::Node> WorkStealingScheduler::steal_from(
     unsigned thief, unsigned victim, double require_below, bool bulk,
-    ClaimWait wait, bool* claim_capped) {
+    bool* claim_capped) {
   Deque& src = *deques_[victim];
   std::vector<Entry> loot;
   Entry taken;
@@ -552,7 +466,7 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
           stale_discards_.fetch_add(1, std::memory_order_relaxed);
           continue;  // garbage entry; keep looking
         }
-        if (wait == ClaimWait::Mailbox && e.lazy->owner != thief &&
+        if (e.lazy->owner != thief &&
             deques_[thief]->mail.size() >= tuning_.mailbox_claim_limit) {
           // At the mailbox claim cap: claiming more handles would only
           // force more owners into deep copies while our deposits are
@@ -619,11 +533,9 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
     return std::move(taken.node);
   }
 
-  // Copy-on-steal: win the claim CAS outside any deque lock, then wait
-  // for the owner to materialize the checkpointed state into the handle
-  // (or, with mailboxes, park the claim and keep scanning). Losing the
-  // CAS means the owner resolved the choice first — the entry was stale
-  // after all.
+  // Copy-on-steal: win the claim CAS outside any deque lock. Losing it
+  // means the owner resolved the choice first — the entry was stale after
+  // all.
   std::shared_ptr<SpillHandle> h = std::move(taken.lazy);
   if (!h->try_claim()) {
     // Lost to the owner: no work moved, no pressure registered.
@@ -632,12 +544,22 @@ std::optional<search::Node> WorkStealingScheduler::steal_from(
   }
   // Record the won claim against the *owner's* deque: its steal-pressure
   // EWMA is what should rise, wherever the entry happened to live.
-  deques_[h->owner % deques_.size()]->thefts_since_push.fetch_add(
+  const auto owner = static_cast<std::uint32_t>(h->owner);
+  deques_[owner % deques_.size()]->thefts_since_push.fetch_add(
       1, std::memory_order_relaxed);
   handle_claims_.fetch_add(1, std::memory_order_relaxed);
   obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
-             EventKind::kHandleClaim, static_cast<std::uint32_t>(h->owner));
-  return await_claim(thief, std::move(h), taken.seq, wait);
+             EventKind::kHandleClaim, owner);
+  // Claim-wait mailbox: don't wait at all. Park the claimed handle in the
+  // thief's mailbox — the owner deposits the materialized state into it
+  // (kReady) at its next expansion boundary — and go back to scanning
+  // other victims. drain_mailbox picks the deposit up on a later acquire /
+  // D-threshold boundary.
+  deques_[thief]->mail.push_back(MailEntry{std::move(h), now_us()});
+  mailbox_parked_.fetch_add(1, std::memory_order_relaxed);
+  obs::trace(tuning_.trace, static_cast<std::uint16_t>(thief),
+             EventKind::kMailboxPark, owner);
+  return std::nullopt;
 }
 
 std::optional<search::Node> WorkStealingScheduler::try_acquire_better(
@@ -655,17 +577,13 @@ std::optional<search::Node> WorkStealingScheduler::try_acquire_better(
   const double threshold = std::min(local_min, own) - d;
   // A deposit that landed in the mailbox since the last boundary may
   // already beat the threshold — prefer it (the copy is paid and ours).
-  if (tuning_.claim_mailboxes) {
-    if (auto n = drain_mailbox(self, threshold)) return n;
-  }
+  if (auto n = drain_mailbox(self, threshold)) return n;
   const unsigned victim = pick_victim(self, threshold, /*include_self=*/false);
   if (victim == deques_.size()) return std::nullopt;
   steal_attempts_.fetch_add(1, std::memory_order_relaxed);
   obs::trace(tuning_.trace, static_cast<std::uint16_t>(self),
              EventKind::kStealAttempt, victim);
-  return steal_from(worker, victim, threshold, /*bulk=*/false,
-                    tuning_.claim_mailboxes ? ClaimWait::Mailbox
-                                            : ClaimWait::Bounded);
+  return steal_from(worker, victim, threshold, /*bulk=*/false);
 }
 
 std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
@@ -699,11 +617,9 @@ std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
     // mailbox; consuming them first keeps the in-flight copy latency off
     // the critical path (and the re-park inside the drain returns any
     // surplus deposits to the network).
-    if (tuning_.claim_mailboxes) {
-      if (auto n = drain_mailbox(self, kInf)) {
-        grants_.fetch_add(1, std::memory_order_relaxed);
-        return n;
-      }
+    if (auto n = drain_mailbox(self, kInf)) {
+      grants_.fetch_add(1, std::memory_order_relaxed);
+      return n;
     }
 
     // Scan every published minimum for the best victim — §6's freed
@@ -714,8 +630,6 @@ std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
     bool claim_capped = false;
     if (victim != deques_.size()) {
       if (auto n = steal_from(self, victim, kInf, /*bulk=*/true,
-                              tuning_.claim_mailboxes ? ClaimWait::Mailbox
-                                                      : ClaimWait::Blocking,
                               &claim_capped)) {
         grants_.fetch_add(1, std::memory_order_relaxed);
         return n;
@@ -788,7 +702,6 @@ SchedulerStats WorkStealingScheduler::stats() const {
   s.handle_claims = handle_claims_.load(std::memory_order_relaxed);
   s.handle_grants = handle_grants_.load(std::memory_order_relaxed);
   s.stale_discards = stale_discards_.load(std::memory_order_relaxed);
-  s.claim_wait_spins = claim_wait_spins_.load(std::memory_order_relaxed);
   s.claim_wait_us = claim_wait_us_.load(std::memory_order_relaxed);
   s.mailbox_parked = mailbox_parked_.load(std::memory_order_relaxed);
   s.mailbox_drained = mailbox_drained_.load(std::memory_order_relaxed);

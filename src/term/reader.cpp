@@ -57,8 +57,12 @@ Reader::Reader(std::string_view text, Store& store) : text_(text), store_(store)
   advance();
 }
 
-void Reader::fail(const std::string& msg) const {
-  throw ParseError(msg, tok_.line, tok_.col);
+void Reader::fail(std::string_view msg) const {
+  throw ParseError(std::string(msg), tok_.line, tok_.col);
+}
+
+void Reader::fail_unexpected(std::string_view what) const {
+  fail("unexpected '" + std::string(what) + "'");
 }
 
 void Reader::advance() {
@@ -112,7 +116,7 @@ void Reader::advance() {
 
   if (c == '.' && starts_term(pos_)) {
     tok_.kind = Token::Kind::End;
-    tok_.text = ".";
+    tok_.text.assign(1, '.');
     ++pos_;
     ++col_;
     return;
@@ -204,7 +208,7 @@ void Reader::advance() {
     return;
   }
 
-  fail(std::string("unexpected character '") + c + "'");
+  fail("unexpected character '" + std::string(1, c) + "'");
 }
 
 Reader::Token Reader::take() {
@@ -226,23 +230,23 @@ TermRef Reader::var_for(const Token& tok) {
 TermRef Reader::parse_list() {
   // '[' already consumed.
   if (peek().kind == Token::Kind::Punct && peek().text == "]") {
-    take();
+    advance();
     return store_.make_atom(nil_symbol());
   }
   std::vector<TermRef> items;
   items.push_back(parse(999));
   while (peek().kind == Token::Kind::Atom && peek().text == ",") {
-    take();
+    advance();
     items.push_back(parse(999));
   }
   TermRef tail = kNullTerm;
   if (peek().kind == Token::Kind::Punct && peek().text == "|") {
-    take();
+    advance();
     tail = parse(999);
   }
   if (!(peek().kind == Token::Kind::Punct && peek().text == "]"))
     fail("expected ']' in list");
-  take();
+  advance();
   return store_.make_list(items, tail);
 }
 
@@ -250,16 +254,16 @@ TermRef Reader::parse_args_or_atom(const Token& name) {
   // A compound only when '(' immediately follows (no layout between was not
   // tracked; acceptable for our workloads).
   if (peek().kind == Token::Kind::Punct && peek().text == "(") {
-    take();
+    advance();
     std::vector<TermRef> args;
     args.push_back(parse(999));
     while (peek().kind == Token::Kind::Atom && peek().text == ",") {
-      take();
+      advance();
       args.push_back(parse(999));
     }
     if (!(peek().kind == Token::Kind::Punct && peek().text == ")"))
       fail("expected ')' after arguments");
-    take();
+    advance();
     return store_.make_struct(intern(name.text), args);
   }
   return store_.make_atom(intern(name.text));
@@ -277,11 +281,11 @@ TermRef Reader::parse_primary(int max_prec) {
         const TermRef inner = parse(1200);
         if (!(peek().kind == Token::Kind::Punct && peek().text == ")"))
           fail("expected ')'");
-        take();
+        advance();
         return inner;
       }
       if (t.text == "[") return parse_list();
-      fail("unexpected '" + t.text + "'");
+      fail_unexpected(t.text);
     case Token::Kind::Atom: {
       // Prefix operator? Only when a term can follow.
       if (auto it = prefix_ops().find(t.text); it != prefix_ops().end()) {
@@ -312,6 +316,12 @@ TermRef Reader::parse_primary(int max_prec) {
 }
 
 TermRef Reader::parse(int max_prec) {
+  struct DepthGuard {
+    int& depth;
+    ~DepthGuard() { --depth; }
+  } guard{++depth_};
+  if (depth_ > kMaxDepth)
+    fail("term nested too deeply");
   TermRef left = parse_primary(max_prec);
   int left_prec = 0;
   for (;;) {
@@ -339,7 +349,7 @@ std::optional<ReadTerm> Reader::next() {
   ReadTerm out;
   out.term = parse(1200);
   if (peek().kind != Token::Kind::End) fail("expected '.' at end of clause");
-  take();
+  advance();
   out.variables = var_order_;
   return out;
 }

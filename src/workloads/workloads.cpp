@@ -32,7 +32,11 @@ std::string random_family(Rng& rng, int generations, int couples_per_gen) {
   s += "gf(X,Z) :- f(X,Y), f(Y,Z).\n";
   s += "gf(X,Z) :- f(X,Y), m(Y,Z).\n";
   auto person = [](int g, int i) {
-    return "p" + std::to_string(g) + "_" + std::to_string(i);
+    std::string name = "p";
+    name += std::to_string(g);
+    name += '_';
+    name += std::to_string(i);
+    return name;
   };
   for (int g = 0; g + 1 < generations; ++g) {
     for (int c = 0; c < couples_per_gen; ++c) {
@@ -104,7 +108,7 @@ std::string map_coloring(Rng& rng, int regions, int colors, int extra_edges) {
   // coloring(C0,...,Cn-1) :- color(C0), ..., Ci \= Cj for each edge.
   std::string head = "coloring(";
   for (int r = 0; r < regions; ++r)
-    head += "C" + std::to_string(r) + (r + 1 < regions ? "," : ")");
+    head += std::string("C") + std::to_string(r) + (r + 1 < regions ? "," : ")");
   std::string body;
   for (int r = 0; r < regions; ++r) {
     if (!body.empty()) body += ", ";
@@ -180,7 +184,7 @@ std::string deductive_db(int employees, int departments) {
     s += "manages(m" + std::to_string(d) + ",d" + std::to_string(d) + ").\n";
   static const char* kBands[] = {"junior", "mid", "senior", "staff"};
   for (int e = 0; e < employees; ++e) {
-    const std::string emp = "e" + std::to_string(e);
+    const std::string emp = std::string("e") + std::to_string(e);
     s += "works_in(" + emp + ",d" + std::to_string(e % departments) + ").\n";
     s += "salary_band(" + emp + "," + kBands[e % 4] + ").\n";
   }

@@ -139,29 +139,24 @@ TEST(AndExec2, SpeedupNeverBelowOne) {
   EXPECT_GE(res.and_speedup(), 1.0);
 }
 
-TEST(AndExec2, SharingCountersFilledOnUnifiedZeroOnLegacy) {
+TEST(AndExec2, SharingCountersFilledOnForkedJob) {
   // Two independent path searches fork as two items; their rule and edge
-  // choices overflow the local capacity, so the unified job shares work
-  // and reports it. The legacy path runs no job and reports nothing.
+  // choices overflow the local capacity, so the job shares work and
+  // reports it — with the sequential engine's answer set.
   Interpreter ip;
   ip.consult_string(workloads::layered_dag(5, 3));
   const char* query = "path(n0_0,Z,P), path(n0_1,W,Q)";
   AndParallelOptions opts;
   opts.workers = 4;
-  const auto uni = solve_and_parallel(ip, query, opts);
-  ASSERT_TRUE(uni.unified);
-  EXPECT_EQ(uni.outcome, search::Outcome::Exhausted);
-  EXPECT_GT(uni.handles_published, 0u);
-  EXPECT_LE(uni.handles_granted, uni.handles_published);
-  EXPECT_GT(uni.cells_copied, 0u);  // at least every answer's compaction
+  const auto res = solve_and_parallel(ip, query, opts);
+  EXPECT_EQ(res.outcome, search::Outcome::Exhausted);
+  EXPECT_GT(res.handles_published, 0u);
+  EXPECT_LE(res.handles_granted, res.handles_published);
+  EXPECT_GT(res.cells_copied, 0u);  // at least every answer's compaction
 
-  opts.unified = false;
-  const auto legacy = solve_and_parallel(ip, query, opts);
-  EXPECT_EQ(legacy.solutions, uni.solutions);
-  EXPECT_EQ(legacy.steals, 0u);
-  EXPECT_EQ(legacy.handles_published, 0u);
-  EXPECT_EQ(legacy.handles_granted, 0u);
-  EXPECT_EQ(legacy.cells_copied, 0u);
+  Interpreter seq;
+  seq.consult_string(workloads::layered_dag(5, 3));
+  EXPECT_EQ(res.solutions, engine::solution_texts(seq.solve(query)));
 }
 
 // ------------------------------------------------------------------ storm --

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -39,6 +40,15 @@ std::vector<std::string> cold_texts(const std::string& program,
 std::vector<std::string> sorted(std::vector<std::string> v) {
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Live threads of this process (Linux: one /proc/self/task entry each).
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++n;
+  return n;
 }
 
 }  // namespace
@@ -526,6 +536,75 @@ TEST(ServiceStorm, AsyncClientsVsSmallPool) {
   // completed Ok (cache hits included in queries).
   EXPECT_EQ(stats.admission.running, 0u);
   EXPECT_EQ(stats.admission.waiting, 0u);
+}
+
+// Every multi-worker query runs on the service's pool: a 16-client storm of
+// workers=2 requests never raises the process's thread count above what it
+// was once the pool and the client threads existed. Sampled from inside
+// on_answer, i.e. while the searches run — a query that spawned its own
+// workers would be caught holding them.
+TEST(ServiceStorm, MultiWorkerQueriesSpawnNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "needs /proc/self/task";
+  service::ServiceOptions so;
+  so.executor_workers = 4;
+  so.max_concurrent_queries = 4;
+  so.admission_queue_limit = 64;
+  so.cache_enabled = false;  // every request runs a job
+  QueryService svc(so);
+  const std::string dag = workloads::layered_dag(3, 3);
+  svc.consult(dag);
+  const auto expect = cold_texts(dag, "path(n0_0,Z,P)");
+
+  constexpr int kClients = 16;
+  constexpr int kPerClient = 8;
+  std::mutex mu;
+  std::condition_variable cv;
+  int ready = 0;
+  bool go = false;
+  std::atomic<std::size_t> peak{0};
+  std::atomic<int> samples{0};
+  std::atomic<int> bad{0};
+
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      {
+        std::unique_lock lock(mu);
+        ++ready;
+        cv.notify_all();
+        cv.wait(lock, [&] { return go; });
+      }
+      for (int i = 0; i < kPerClient; ++i) {
+        SubmitOptions sop;
+        sop.on_answer = [&](const std::string&) {
+          const std::size_t n = live_threads();
+          std::size_t p = peak.load();
+          while (n > p && !peak.compare_exchange_weak(p, n)) {
+          }
+          ++samples;
+        };
+        const auto r =
+            svc.submit({.text = "path(n0_0,Z,P)", .workers = 2}, sop).wait();
+        if (r.status != QueryStatus::Ok || r.answers != expect) ++bad;
+      }
+    });
+  }
+  std::size_t baseline = 0;
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return ready == kClients; });
+    baseline = live_threads();  // main + pool + every client
+    go = true;
+  }
+  cv.notify_all();
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GE(baseline, static_cast<std::size_t>(1 + 4 + kClients));
+  EXPECT_GE(samples.load(), kClients * kPerClient);  // sampled every query
+  EXPECT_LE(peak.load(), baseline);
 }
 
 // Destruction with live tickets: the service cancels queued work and

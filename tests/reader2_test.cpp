@@ -121,6 +121,40 @@ TEST(ReaderEdge, LongConjunctionChain) {
   EXPECT_TRUE(s.is_struct(s.deref(t)));
 }
 
+/// `f(f(...f(leaf)...))` with `depth` applications of `f`.
+std::string nested(const std::string& f, int depth, const std::string& leaf) {
+  std::string text;
+  for (int i = 0; i < depth; ++i) text += f + "(";
+  text += leaf;
+  text.append(static_cast<std::size_t>(depth), ')');
+  return text;
+}
+
+TEST(ReaderEdge, NestingPastTheCapIsAParseErrorNotACrash) {
+  Store s;
+  EXPECT_THROW(parse_term(nested("f", 20000, "x"), s), ParseError);
+  // Right-nested operators count too: a 20k-goal conjunction is as deep.
+  std::string conj = "g";
+  for (int i = 0; i < 20000; ++i) conj += ", g";
+  EXPECT_THROW(parse_term(conj, s), ParseError);
+}
+
+TEST(ReaderEdge, NestingCapBoundary) {
+  // The outermost term is level 1, so kMaxDepth - 1 applications fit.
+  Store s;
+  EXPECT_NO_THROW(parse_term(nested("f", Reader::kMaxDepth - 1, "x"), s));
+  EXPECT_THROW(parse_term(nested("f", Reader::kMaxDepth, "x"), s),
+               ParseError);
+}
+
+TEST(ReaderEdge, ThousandDeepTermParsesAndRoundTrips) {
+  const std::string text = nested("s", 1000, "0");
+  Store s;
+  const TermRef t = parse_term(text, s).term;
+  EXPECT_EQ(s.reachable_cells(t), 1001u);
+  EXPECT_EQ(to_string(s, t), text);
+}
+
 TEST(ReaderEdge, VarScopesDoNotLeakAcrossClauses) {
   Store s;
   Reader r("p(Same). q(Same).", s);

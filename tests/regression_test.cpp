@@ -242,37 +242,39 @@ TEST_P(SchedulerGrid, LazySpillMatchesEagerSpill) {
   }
 }
 
-TEST_P(SchedulerGrid, MailboxClaimWaitMatchesSpinWait) {
+TEST_P(SchedulerGrid, MailboxClaimsMatchSequential) {
   // Claim-wait mailboxes only change *when* a thief receives a claimed
-  // deposit (parked and drained later vs blocked on the handle) — never
-  // what is found. Both claim-wait modes must produce byte-identical
-  // solution sets under copy-on-steal. On single-node hosts this also
-  // pins the NUMA fallback path: worker placement and victim scans must
-  // behave exactly as before.
-  using Spill = parallel::ParallelOptions::SpillPolicy;
+  // deposit (parked and drained later) — never what is found. With
+  // nearly every choice published, the copy-on-steal run must produce the
+  // sequential engine's solution set. On single-node hosts this also pins
+  // the NUMA fallback path: worker placement and victim scans must behave
+  // exactly as before.
   const auto [sched, workers] = GetParam();
   for (const Workload& w : workload_set()) {
-    auto run = [&](bool mailboxes) {
-      Interpreter ip;
-      ip.consult_string(w.program);
-      parallel::ParallelOptions po;
-      po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
-      po.spill_policy = Spill::Lazy;
-      po.claim_mailboxes = mailboxes;
-      po.local_capacity = 1;  // publish nearly everything: maximize claims
-      parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
-                                  po);
-      const auto r = pe.solve(ip.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      return got;
-    };
-    EXPECT_EQ(run(true), run(false))
+    search::SearchOptions so;
+    so.update_weights = false;
+    Interpreter seq;
+    seq.consult_string(w.program);
+    const auto expected = solution_texts(seq.solve(w.query, so));
+
+    Interpreter ip;
+    ip.consult_string(w.program);
+    parallel::ParallelOptions po;
+    po.workers = workers;
+    po.update_weights = false;
+    po.scheduler = sched;
+    po.spill_policy = parallel::ParallelOptions::SpillPolicy::Lazy;
+    po.local_capacity = 1;  // publish nearly everything: maximize claims
+    parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
+                                po);
+    const auto r = pe.solve(ip.parse_query(w.query));
+    std::vector<std::string> got;
+    for (const auto& s : r.solutions) got.push_back(s.text);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, expected)
         << w.name << " workers=" << workers << " scheduler="
         << parallel::scheduler_kind_name(sched);
+    EXPECT_TRUE(r.exhausted) << w.name;
   }
 }
 
@@ -520,17 +522,6 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
           << " sched=" << static_cast<int>(kind) << " workers=" << workers
           << " strat=" << search::strategy_name(strat);
       EXPECT_EQ(res.join_resolves, 1u) << w.name;
-
-      // And-parallel ON, pre-unification per-group path (the "unified
-      // off" axis) — same fork mode, same answers.
-      andp::AndParallelOptions lo = o;
-      lo.unified = false;
-      Interpreter leg;
-      leg.consult_string(w.program);
-      const auto lres = andp::solve_and_parallel(leg, w.query, lo);
-      EXPECT_EQ(lres.outcome, search::Outcome::Exhausted) << w.name;
-      EXPECT_EQ(solution_texts(lres.solutions), expected)
-          << w.name << " (legacy path) fork=" << andp::fork_mode_name(fork);
     }
   }
 }

@@ -314,7 +314,7 @@ std::shared_ptr<search::SpillHandle> handle_with_bound(double b,
   return h;
 }
 
-TEST(CopyOnSteal, ThiefClaimWaitsForOwnerFulfillment) {
+TEST(CopyOnSteal, ThiefReceivesOwnerDepositAfterClaim) {
   WorkStealingScheduler s(2);
   auto h = handle_with_bound(1.5, /*owner=*/0);
   s.on_expanded(2);  // pretend one expansion produced the published chain
@@ -331,7 +331,7 @@ TEST(CopyOnSteal, ThiefClaimWaitsForOwnerFulfillment) {
     h->node = node_with_bound(1.5);
     h->state.store(search::SpillHandle::kReady, std::memory_order_release);
   });
-  auto n = s.acquire(1);  // claims the handle and waits for the deposit
+  auto n = s.acquire(1);  // claims and parks the handle, drains the deposit
   owner.join();
   ASSERT_TRUE(n.has_value());
   EXPECT_DOUBLE_EQ(n->bound, 1.5);
@@ -501,9 +501,9 @@ TEST(CopyOnSteal, MixedLeafAndRuleStormConservesHandles) {
 // ---------------------------------------------- claim-wait mailboxes ----
 
 TEST(Mailbox, ClaimParksAndDrainsTheOwnerDeposit) {
-  // Mailbox mode (the default): the thief's claim parks the handle and
-  // acquire keeps polling without a single claim-wait spin; the owner's
-  // deposit is consumed from the mailbox on a later poll.
+  // The thief's claim parks the handle and acquire keeps polling without
+  // blocking on it; the owner's deposit is consumed from the mailbox on a
+  // later poll.
   WorkStealingScheduler s(2);
   auto h = handle_with_bound(1.5, /*owner=*/0);
   s.on_expanded(2);
@@ -525,33 +525,8 @@ TEST(Mailbox, ClaimParksAndDrainsTheOwnerDeposit) {
   const auto st = s.stats();
   EXPECT_EQ(st.mailbox_parked, 1u);
   EXPECT_EQ(st.mailbox_drained, 1u);
-  EXPECT_EQ(st.claim_wait_spins, 0u);  // never blocked on the claim
   EXPECT_EQ(st.handle_claims, 1u);
   EXPECT_EQ(st.handle_grants, 1u);
-  s.stop();
-}
-
-TEST(Mailbox, SpinWaitModeNeverTouchesMailboxes) {
-  SchedulerTuning t;
-  t.claim_mailboxes = false;
-  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
-  auto h = handle_with_bound(2.5, /*owner=*/0);
-  s.on_expanded(2);
-  std::vector<std::shared_ptr<search::SpillHandle>> hs{h};
-  s.push_handles(0, std::move(hs));
-  std::thread owner([&] {
-    while (h->state.load(std::memory_order_acquire) !=
-           search::SpillHandle::kClaimed)
-      std::this_thread::yield();
-    h->node = node_with_bound(2.5);
-    h->state.store(search::SpillHandle::kReady, std::memory_order_release);
-  });
-  auto n = s.acquire(1);
-  owner.join();
-  ASSERT_TRUE(n.has_value());
-  const auto st = s.stats();
-  EXPECT_EQ(st.mailbox_parked, 0u);
-  EXPECT_EQ(st.mailbox_drained, 0u);
   s.stop();
 }
 
@@ -827,30 +802,7 @@ TEST(WorkStealingStress, MailboxStormStaysExact) {
     po.update_weights = false;
     po.scheduler = SchedulerKind::WorkStealing;
     po.spill_policy = Spill::Lazy;
-    po.claim_mailboxes = true;
     po.stale_refresh_interval = std::chrono::microseconds(1);
-    const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
-    EXPECT_EQ(texts(r), expected) << "run " << run;
-    EXPECT_TRUE(r.exhausted);
-  }
-}
-
-TEST(WorkStealingStress, SpinWaitStormStaysExact) {
-  // The legacy claim-wait path (mailboxes off) stays a supported
-  // configuration; keep it under the same storm so both waits are
-  // sanitizer-covered.
-  const std::string program = workloads::layered_dag(4, 3);
-  const auto expected = sequential_expected(program, "path(n0_0,Z,P)");
-  for (int run = 0; run < 3; ++run) {
-    ParallelOptions po;
-    po.workers = 8;
-    po.local_capacity = 1;
-    po.steal_deque_capacity = 1;
-    po.adaptive_capacity = false;
-    po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
-    po.claim_mailboxes = false;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -1053,7 +1005,6 @@ TEST(WorkStealingStress, LiveStatsSnapshotsStayMonotonicUnderStorm) {
       EXPECT_GE(cur.handle_claims, prev.handle_claims);
       EXPECT_GE(cur.handle_grants, prev.handle_grants);
       EXPECT_GE(cur.stale_discards, prev.stale_discards);
-      EXPECT_GE(cur.claim_wait_spins, prev.claim_wait_spins);
       EXPECT_GE(cur.claim_wait_us, prev.claim_wait_us);
       EXPECT_GE(cur.mailbox_parked, prev.mailbox_parked);
       EXPECT_GE(cur.mailbox_drained, prev.mailbox_drained);

@@ -78,6 +78,20 @@ TEST(Service, ParseErrorReported) {
   EXPECT_EQ(svc.stats().parse_errors, 1u);
 }
 
+TEST(Service, DeeplyNestedQueryIsAParseError) {
+  QueryService svc;
+  svc.consult("p(1).");
+  std::string text;
+  for (int i = 0; i < 20000; ++i) text += "f(";
+  text += "x";
+  text.append(20000, ')');
+  const auto r = svc.query(text);
+  EXPECT_EQ(r.status, QueryStatus::ParseError);
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(svc.stats().parse_errors, 1u);
+  EXPECT_EQ(svc.query("p(X)").status, QueryStatus::Ok);  // still serving
+}
+
 TEST(Service, ParallelWorkersMatchSequential) {
   const std::string dag = workloads::layered_dag(4, 3);
   QueryService svc;
@@ -285,32 +299,50 @@ TEST(SearchDeadline, ParallelDeadlineReportsBudgetExceeded) {
 
 TEST(Admission, ShedsWhenRunningAndQueueFull) {
   service::AdmissionGate gate(1, 0);
-  ASSERT_TRUE(gate.enter());
-  EXPECT_FALSE(gate.enter());  // no slot, no queue → shed
+  ASSERT_TRUE(gate.try_enter());
+  EXPECT_FALSE(gate.try_enter());  // no free slot: not admitted...
+  EXPECT_EQ(gate.stats().rejected, 0u);  // ...and not counted as shed
+  EXPECT_FALSE(gate.try_queue());  // no queue room → shed
   gate.leave();
-  EXPECT_TRUE(gate.enter());
+  EXPECT_TRUE(gate.try_enter());
   gate.leave();
   const auto s = gate.stats();
   EXPECT_EQ(s.admitted, 2u);
   EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.queued, 0u);
   EXPECT_EQ(s.running, 0u);
+  EXPECT_EQ(s.waiting, 0u);
 }
 
 TEST(Admission, QueuedCallerProceedsAfterLeave) {
-  service::AdmissionGate gate(1, 4);
-  ASSERT_TRUE(gate.enter());
-  std::atomic<bool> admitted{false};
-  std::thread t([&] {
-    ASSERT_TRUE(gate.enter());  // waits for the slot
-    admitted = true;
-    gate.leave();
-  });
-  while (gate.stats().waiting == 0) std::this_thread::yield();
-  EXPECT_FALSE(admitted.load());
+  service::AdmissionGate gate(1, 2);
+  ASSERT_TRUE(gate.try_enter());
+  ASSERT_TRUE(gate.try_queue());  // first waiter
+  ASSERT_TRUE(gate.try_queue());  // second waiter fills the queue
+  EXPECT_FALSE(gate.try_queue());  // third is shed
+  EXPECT_EQ(gate.stats().waiting, 2u);
+  // No slot frees while the first caller runs: nothing is promoted.
+  EXPECT_FALSE(gate.promote_queued());
+
+  // The running caller leaves: exactly one waiter takes its slot.
   gate.leave();
-  t.join();
-  EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(gate.stats().queued, 1u);
+  EXPECT_TRUE(gate.promote_queued());
+  EXPECT_FALSE(gate.promote_queued());  // the slot is taken again
+  auto s = gate.stats();
+  EXPECT_EQ(s.running, 1u);
+  EXPECT_EQ(s.waiting, 1u);
+
+  // The other waiter gives up (cancelled while queued): unregistered
+  // without ever running, and a free slot then promotes nobody.
+  gate.abandon_queued();
+  gate.leave();
+  EXPECT_FALSE(gate.promote_queued());
+  s = gate.stats();
+  EXPECT_EQ(s.admitted, 2u);  // the first caller + the promoted waiter
+  EXPECT_EQ(s.queued, 2u);    // both waiters had to queue first
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.running, 0u);
+  EXPECT_EQ(s.waiting, 0u);
 }
 
 // --------------------------------------------- O(1) frontier min_bound fix --
