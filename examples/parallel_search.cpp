@@ -40,12 +40,9 @@ int main(int argc, char** argv) {
     po.workers = workers;
     po.update_weights = false;
     po.trace = trace;
-    if (trace != nullptr) {
-      // Tiny private pools + lazy spill: guarantee steal/spill/mailbox
-      // traffic so the exported trace shows the machinery, not idle lanes.
-      po.local_capacity = 1;
-      po.spill_policy = parallel::ParallelOptions::SpillPolicy::Lazy;
-    }
+    // Tiny private pools guarantee steal/spill/mailbox traffic, so the
+    // exported trace shows the machinery, not idle lanes.
+    if (trace != nullptr) po.local_capacity = 1;
     parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
     obs::trace(trace, obs::client_lane(), obs::EventKind::kQueryBegin, ++qid);
     const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));

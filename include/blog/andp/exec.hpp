@@ -33,8 +33,6 @@ struct AndParallelOptions {
   /// run-time scan, or no forking at all.
   ForkMode fork = ForkMode::Static;
   unsigned workers = 4;  ///< scheduler worker threads
-  /// Which scheduler realizes the partition.
-  parallel::SchedulerKind scheduler = parallel::SchedulerKind::WorkStealing;
   /// When set, the conjunction runs as one job (with forked child roots)
   /// on this persistent pool instead of spawning its own workers; `workers`
   /// becomes the job's slot request.

@@ -9,7 +9,7 @@
 /// **once** (round-robin across the detected topology), and every query
 /// becomes a schedulable *job* multiplexed onto the pool.
 ///
-/// Isolation: each job owns a private Scheduler instance — its partition
+/// Isolation: each job owns a private WorkStealingScheduler — its partition
 /// of the minimum-seeking network. Two concurrent jobs' chains can never
 /// mix because they live in different schedulers, and each scheduler's
 /// outstanding-work counter is that job's termination detector (no global

@@ -3,7 +3,7 @@
 /// behaviour, factored out of ParallelEngine so the spawn-per-query engine
 /// and the persistent Executor pool run byte-identical searches.
 ///
-/// A *job* is one query's OR-search: a Scheduler instance (its private
+/// A *job* is one query's OR-search: a WorkStealingScheduler (its private
 /// partition of the minimum-seeking network — two jobs' chains can never
 /// mix because they live in different schedulers), a JobControls bundle
 /// (budgets, stop cause, the shared solution vector, streaming hook), and
@@ -19,15 +19,12 @@
 namespace blog::parallel {
 
 /// Per-expansion knobs of one job, distilled from ParallelOptions (the
-/// subset the inner loop actually reads; scheduler construction knobs stay
-/// with whoever builds the Scheduler).
+/// subset the inner loop actually reads).
 struct JobConfig {
-  double d_threshold = 0.0;        ///< §6's D (bound units)
-  std::size_t local_capacity = 8;  ///< spill to the scheduler beyond this
-  bool update_weights = true;      ///< apply §5 updates as chains resolve
-  ParallelOptions::SpillPolicy spill_policy =
-      ParallelOptions::SpillPolicy::Lazy;  ///< overflow sharing policy
-  obs::TraceSink* trace = nullptr;         ///< flight recorder (may be null)
+  double d_threshold = 0.0;         ///< §6's D (bound units)
+  std::size_t local_capacity = 8;   ///< publish handles beyond this
+  bool update_weights = true;       ///< apply §5 updates as chains resolve
+  obs::TraceSink* trace = nullptr;  ///< flight recorder (may be null)
 };
 
 /// Shared mutable state of one job: cooperative cutoffs, the first-stop
@@ -90,6 +87,16 @@ struct JobControls {
   }
 };
 
+/// Build one job from `opts`: the one place ParallelEngine and the
+/// Executor translate options into a job. Returns the job's scheduler
+/// partition with `slots` deques (NUMA-tagged only when `numa_aware`),
+/// fills `cfg` with the worker loop's knobs and arms `ctl`'s cutoffs with
+/// `cancel` as the cancel flag. Roots, the answer hook and fork
+/// attribution stay with the caller.
+std::unique_ptr<WorkStealingScheduler> prepare_job(
+    const ParallelOptions& opts, unsigned slots, bool numa_aware,
+    const std::atomic<bool>* cancel, JobControls& ctl, JobConfig& cfg);
+
 /// Record `o` as the job's stop cause unless one is already set (first
 /// reporter wins; later reporters keep the original).
 void report_stop(std::atomic<int>& cause, search::Outcome o);
@@ -100,11 +107,12 @@ void report_stop(std::atomic<int>& cause, search::Outcome o);
 /// `lane` is the flight-recorder lane (the pool worker id under the
 /// Executor, == slot under ParallelEngine). `preempt_epoch` may be null
 /// (no mid-burst preemption). Reentrant: many workers may run this
-/// concurrently against the same JobControls/Scheduler, each with a
+/// concurrently against the same JobControls/scheduler, each with a
 /// distinct slot.
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,
-                    Scheduler& net, unsigned slot, std::uint16_t lane,
-                    WorkerStats& ws, const JobConfig& cfg, JobControls& ctl,
+                    WorkStealingScheduler& net, unsigned slot,
+                    std::uint16_t lane, WorkerStats& ws, const JobConfig& cfg,
+                    JobControls& ctl,
                     const std::atomic<std::uint64_t>* preempt_epoch);
 
 }  // namespace blog::parallel

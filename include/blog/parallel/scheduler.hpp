@@ -1,24 +1,18 @@
 /// \file
-/// \brief Scheduler abstraction for the thread-parallel OR-engine.
+/// \brief The work-stealing scheduler of the thread-parallel OR-engine.
 ///
 /// §6's machine lets a freed processor acquire the chain with the minimum
-/// bound through a dedicated minimum-seeking network. Two software
-/// realizations live behind this interface:
+/// bound through a dedicated minimum-seeking network. The software
+/// realization here gives each worker a bounded deque of detached
+/// choices: spills and D-threshold migrations land in the owner's deque
+/// (overflow is offloaded to the least-loaded victim), and idle workers
+/// *steal half* of the best victim's deque. The minimum-seeking behaviour
+/// survives as a lock-free array of per-worker published minima that idle
+/// workers scan to pick the victim holding the globally lowest bound.
+/// Termination is detected distributedly by an outstanding-work counter
+/// instead of a central condition variable.
 ///
-///   - GlobalFrontier (minnet.hpp): one mutex-guarded min-heap — the
-///     faithful but serializing analogue of the central network. Every
-///     spill, migration and idle-worker pop takes the one lock.
-///   - WorkStealingScheduler (below): each worker owns a bounded deque of
-///     detached choices; spills and D-threshold migrations land in the
-///     owner's deque (overflow is offloaded to the least-loaded victim),
-///     and idle workers *steal half* of the best victim's deque. The
-///     minimum-seeking behaviour survives as a lock-free array of
-///     per-worker published minima that idle workers scan to pick the
-///     victim holding the globally lowest bound. Termination is detected
-///     distributedly by an outstanding-work counter instead of a central
-///     condition variable.
-///
-/// On top of materialized nodes, the work-stealing scheduler carries
+/// On top of materialized nodes, the scheduler carries
 /// **copy-on-steal spill handles** (search::SpillHandle): lightweight deque
 /// entries whose state still lives, free, on the owning worker's pending
 /// stack. §6 only requires the *bound* to be visible to the network; the
@@ -46,9 +40,9 @@
 ///     acquire/D-threshold boundary.
 ///   - **Stale-bound refresh.** A deque whose published minimum has not
 ///     been re-published for longer than a threshold is swept by its owner
-///     at the next expansion boundary (Scheduler::maintain), discarding
-///     resolved copy-on-steal entries and re-publishing from live ones, so
-///     idle scans stop chasing dead bounds.
+///     at the next expansion boundary (WorkStealingScheduler::maintain),
+///     discarding resolved copy-on-steal entries and re-publishing from
+///     live ones, so idle scans stop chasing dead bounds.
 #pragma once
 
 #include <atomic>
@@ -64,22 +58,14 @@
 
 namespace blog::parallel {
 
-/// Which realization of §6's minimum-seeking network distributes work.
-enum class SchedulerKind {
-  GlobalFrontier,  ///< single shared min-heap, one lock (legacy)
-  WorkStealing,    ///< per-worker deques + steal-half (default)
-};
-
-/// Stable display name of a scheduler kind ("global-frontier" /
-/// "work-stealing"), used by benches and test failure messages.
-const char* scheduler_kind_name(SchedulerKind k);
+/// Unread; kept until the repo benchmark's sources stop naming it.
+enum class SchedulerKind { WorkStealing };
 
 /// Shared traffic counters. `lock_acquisitions` counts every mutex lock
-/// any scheduler path takes — the headline contention metric the
-/// work-stealing rewrite exists to shrink.
+/// any scheduler path takes — the headline contention metric.
 ///
 /// Every field is backed by its own relaxed atomic and is **monotonic**
-/// (except none — all only grow), so Scheduler::stats() may be called from
+/// (all only grow), so WorkStealingScheduler::stats() may be called from
 /// any thread at any time during a live run: the snapshot is a set of
 /// individually-consistent monotone counters, never a half-written struct.
 /// Cross-counter invariants (e.g. steals == steals_local + steals_remote)
@@ -97,7 +83,7 @@ struct SchedulerStats {
   /// single-node hosts count everything local.
   std::uint64_t steals_local = 0;
   std::uint64_t steals_remote = 0;      ///< transfers that crossed nodes
-  // Copy-on-steal traffic (work-stealing scheduler only).
+  // Copy-on-steal traffic.
   std::uint64_t handles_published = 0;  ///< lazy entries entering deques
   std::uint64_t handle_claims = 0;      ///< thief claim CASes won
   std::uint64_t handle_grants = 0;      ///< claims that yielded a node
@@ -155,86 +141,11 @@ struct SchedulerTuning {
   obs::TraceSink* trace = nullptr;
 };
 
-/// What the worker loop needs from a scheduler. Worker ids let the
-/// work-stealing implementation address per-worker deques; the global
-/// frontier ignores them.
-class Scheduler {
-public:
-  virtual ~Scheduler() = default;
-
-  /// Seed the root chain (before workers start).
-  virtual void push_root(search::DetachedNode n) = 0;
-
-  /// Park a batch of detached choices spilled or migrated by `worker`.
-  virtual void push_batch(unsigned worker,
-                          std::vector<search::DetachedNode> ns) = 0;
-
-  /// Copy-on-steal support. A scheduler that returns false from
-  /// supports_handles() never sees push_handles(); the engine falls back
-  /// to materializing spills (GlobalFrontier keeps the legacy behaviour).
-  [[nodiscard]] virtual bool supports_handles() const { return false; }
-  /// Park lazy spill handles published by `worker`'s runner. The chains
-  /// stay on the runner's stack; only bounds enter the network.
-  virtual void push_handles(
-      unsigned worker, std::vector<std::shared_ptr<search::SpillHandle>> hs) {
-    (void)worker;
-    (void)hs;
-  }
-
-  /// Adaptive local-capacity suggestion for `worker` (how many pending
-  /// choices to keep private before publishing). `fallback` is the
-  /// engine-configured static knob, returned verbatim by schedulers
-  /// without adaptivity.
-  [[nodiscard]] virtual std::size_t local_capacity_hint(
-      unsigned worker, std::size_t fallback) const {
-    (void)worker;
-    return fallback;
-  }
-
-  /// Periodic owner-side housekeeping, called by `worker`'s loop once per
-  /// expansion boundary. The work-stealing scheduler uses it for the
-  /// stale-bound refresh; the global frontier has nothing to maintain.
-  virtual void maintain(unsigned worker) { (void)worker; }
-
-  /// §6's D-threshold test: if some queued chain's bound is lower than
-  /// `local_min - d`, acquire it (the caller migrates its pool out first
-  /// or right after). Non-blocking; nullopt = keep working locally.
-  virtual std::optional<search::Node> try_acquire_better(unsigned worker,
-                                                         double local_min,
-                                                         double d) = 0;
-
-  /// Idle acquisition: wait until a chain is available (always the best
-  /// one the implementation can see), the search terminates, or stop().
-  /// nullopt = done.
-  virtual std::optional<search::Node> acquire(unsigned worker) = 0;
-
-  /// Account one expansion: the expanded chain dies, `children` chains
-  /// are born (queued or kept in the worker's local pool). Termination
-  /// is exactly the outstanding count reaching zero.
-  virtual void on_expanded(std::size_t children) = 0;
-
-  /// Abort: acquire() returns nullopt from now on.
-  virtual void stop() = 0;
-  /// True once stop() has been called.
-  [[nodiscard]] virtual bool stopped() const = 0;
-
-  /// Lock-free: true while some worker is idle (blocked in acquire())
-  /// waiting for work. Busy workers consult this to decide whether
-  /// spilling (materializing) overflow is worth the copies — the
-  /// starvation signal behind SpillPolicy::WhenStarving.
-  [[nodiscard]] virtual bool starving() const = 0;
-
-  /// Snapshot of the shared traffic counters. Safe to call from any
-  /// thread while workers are running: every field is read from its own
-  /// monotonic relaxed atomic (see SchedulerStats).
-  [[nodiscard]] virtual SchedulerStats stats() const = 0;
-};
-
 /// Work-stealing scheduler: per-worker bounded deques, lock-free published
 /// minima, NUMA-biased steal-half, counter-based distributed termination,
 /// copy-on-steal spill handles with claim-wait mailboxes, adaptive
 /// per-worker capacities, and owner-driven stale-bound refresh.
-class WorkStealingScheduler final : public Scheduler {
+class WorkStealingScheduler {
 public:
   /// `deque_capacity` seeds each worker's deque bound; a push that
   /// overflows it offloads the worst-bound half to the least-loaded other
@@ -243,29 +154,55 @@ public:
   explicit WorkStealingScheduler(unsigned workers,
                                  std::size_t deque_capacity = 64,
                                  SchedulerTuning tuning = {});
-  ~WorkStealingScheduler() override;
+  ~WorkStealingScheduler();
 
-  void push_root(search::DetachedNode n) override;
-  void push_batch(unsigned worker,
-                  std::vector<search::DetachedNode> ns) override;
-  [[nodiscard]] bool supports_handles() const override { return true; }
-  void push_handles(
-      unsigned worker,
-      std::vector<std::shared_ptr<search::SpillHandle>> hs) override;
-  [[nodiscard]] std::size_t local_capacity_hint(
-      unsigned worker, std::size_t fallback) const override;
-  void maintain(unsigned worker) override;
+  /// Seed a root chain (before workers start); bumps the outstanding-work
+  /// count, so several roots share one termination detector.
+  void push_root(search::DetachedNode n);
+
+  /// Park a batch of detached choices spilled or migrated by `worker`.
+  void push_batch(unsigned worker, std::vector<search::DetachedNode> ns);
+
+  /// Park copy-on-steal spill handles published by `worker`'s runner. The
+  /// chains stay on the runner's stack; only bounds enter the network.
+  void push_handles(unsigned worker,
+                    std::vector<std::shared_ptr<search::SpillHandle>> hs);
+
+  /// Adaptive local-capacity suggestion for `worker` (how many pending
+  /// choices to keep private before publishing). `fallback` is the
+  /// engine-configured static knob, returned verbatim when adaptivity is
+  /// off.
+  [[nodiscard]] std::size_t local_capacity_hint(unsigned worker,
+                                                std::size_t fallback) const;
+
+  /// Owner-side housekeeping, called by `worker`'s loop once per expansion
+  /// boundary: the stale-bound refresh.
+  void maintain(unsigned worker);
+
+  /// §6's D-threshold test: if some queued chain's bound is lower than
+  /// `local_min - d`, acquire it (the caller migrates its pool out first
+  /// or right after). Non-blocking; nullopt = keep working locally.
   std::optional<search::Node> try_acquire_better(unsigned worker,
-                                                 double local_min,
-                                                 double d) override;
-  std::optional<search::Node> acquire(unsigned worker) override;
-  void on_expanded(std::size_t children) override;
-  void stop() override;
-  [[nodiscard]] bool stopped() const override;
-  [[nodiscard]] bool starving() const override {
-    return idle_.load(std::memory_order_relaxed) > 0;
-  }
-  [[nodiscard]] SchedulerStats stats() const override;
+                                                 double local_min, double d);
+
+  /// Idle acquisition: wait until a chain is available (always the best
+  /// one visible), the search terminates, or stop(). nullopt = done.
+  std::optional<search::Node> acquire(unsigned worker);
+
+  /// Account one expansion: the expanded chain dies, `children` chains
+  /// are born (queued or kept in the worker's local pool). Termination
+  /// is exactly the outstanding count reaching zero.
+  void on_expanded(std::size_t children);
+
+  /// Abort: acquire() returns nullopt from now on.
+  void stop();
+  /// True once stop() has been called.
+  [[nodiscard]] bool stopped() const;
+
+  /// Snapshot of the shared traffic counters. Safe to call from any
+  /// thread while workers are running: every field is read from its own
+  /// monotonic relaxed atomic (see SchedulerStats).
+  [[nodiscard]] SchedulerStats stats() const;
 
   /// Lowest bound published by any deque (lock-free scan; approximate
   /// under concurrent mutation). nullopt = all deques empty.
@@ -288,9 +225,8 @@ private:
     search::Node node;
     std::shared_ptr<search::SpillHandle> lazy;
   };
-  // Min-heap order on (bound, insertion seq) — the same total order the
-  // global frontier's heap uses, so both schedulers hand out chains
-  // identically when one worker drains them.
+  // Min-heap order on (bound, insertion seq): one worker draining its
+  // deque takes chains best-bound first, ties in insertion order.
   struct EntryCmp {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.bound != b.bound) return a.bound > b.bound;
@@ -393,11 +329,5 @@ private:
       mailbox_drained_{0}, stale_refreshes_{0};
   std::atomic<std::uint64_t> expansions_{0};
 };
-
-/// Factory used by the parallel engine (and anything else that wants a
-/// scheduler by kind).
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, unsigned workers,
-                                          std::size_t deque_capacity,
-                                          SchedulerTuning tuning = {});
 
 }  // namespace blog::parallel

@@ -137,8 +137,7 @@ struct ServiceOptions {
   std::size_t max_concurrent_queries = 8;
   std::size_t admission_queue_limit = 64;
   bool update_weights = true;  // apply §5 updates as queries resolve
-  // Scheduler used when a request asks for workers > 1: per-worker deques
-  // with steal-half (default) or the legacy single-lock global frontier.
+  // Unread; kept until the repo benchmark's sources stop reading it.
   parallel::SchedulerKind parallel_scheduler =
       parallel::SchedulerKind::WorkStealing;
   // Flight recorder (obs/trace.hpp). When non-null, queries record

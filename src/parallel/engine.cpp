@@ -1,7 +1,5 @@
 #include "blog/parallel/engine.hpp"
 
-#include <algorithm>
-
 #include "blog/parallel/job.hpp"
 #include "blog/parallel/topology.hpp"
 
@@ -20,28 +18,15 @@ ParallelResult ParallelEngine::solve_forked(
     std::span<const search::Query> roots,
     std::atomic<std::uint64_t>* fork_nodes, std::uint32_t fork_tag_count) {
   search::Expander expander(program_, weights_, builtins_, opts_.expander);
-  SchedulerTuning tuning;
-  tuning.adaptive = opts_.adaptive_capacity;
-  tuning.ewma_window = opts_.capacity_ewma_window;
-  tuning.local_capacity_seed = opts_.local_capacity;
-  tuning.numa_aware = opts_.numa_aware;
-  tuning.locality_bias = opts_.numa_locality_bias;
-  tuning.mailbox_claim_limit = opts_.mailbox_claim_limit;  // scheduler clamps
-  tuning.stale_refresh_us = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-      opts_.stale_refresh_interval.count(), 0,
-      std::numeric_limits<std::uint32_t>::max()));
-  tuning.trace = opts_.trace;
-  // Worker→node placement mirrors the scheduler's deque tagging (both
-  // derive it round-robin from the same detected topology); single-node
-  // hosts skip placement and pinning entirely, as does the legacy
-  // GlobalFrontier — it has no node-aware victim choice, and pinning its
-  // workers to node subsets would skew the very legacy-vs-new
-  // comparison it is kept around for.
-  const Topology& topo = Topology::system();
-  const bool multi_node = opts_.numa_aware && !topo.single_node() &&
-                          opts_.scheduler == SchedulerKind::WorkStealing;
-  const std::unique_ptr<Scheduler> net = make_scheduler(
-      opts_.scheduler, opts_.workers, opts_.steal_deque_capacity, tuning);
+  ParallelResult result;
+  result.workers.resize(opts_.workers);
+  JobControls ctl;
+  JobConfig cfg;
+  const std::unique_ptr<WorkStealingScheduler> net = prepare_job(
+      opts_, opts_.workers, opts_.numa_aware, opts_.cancel, ctl, cfg);
+  ctl.on_solution = opts_.on_solution;
+  ctl.fork_nodes = fork_nodes;
+  ctl.fork_tag_count = fork_tag_count;
   // Every root enters the same partition; push_root bumps the scheduler's
   // outstanding-work counter per call, so one termination detector covers
   // all forked subtrees.
@@ -50,20 +35,11 @@ ParallelResult ParallelEngine::solve_forked(
     root.fork_tag = static_cast<std::uint32_t>(i);
     net->push_root(std::move(root));
   }
-
-  ParallelResult result;
-  result.workers.resize(opts_.workers);
-  JobControls ctl;
-  ctl.arm(opts_.limits, opts_.cancel);
-  ctl.on_solution = opts_.on_solution;
-  ctl.fork_nodes = fork_nodes;
-  ctl.fork_tag_count = fork_tag_count;
-  JobConfig cfg;
-  cfg.d_threshold = opts_.d_threshold;
-  cfg.local_capacity = opts_.local_capacity;
-  cfg.update_weights = opts_.update_weights;
-  cfg.spill_policy = opts_.spill_policy;
-  cfg.trace = opts_.trace;
+  // Worker→node placement mirrors the scheduler's deque tagging (both
+  // derive it round-robin from the same detected topology); single-node
+  // hosts skip placement and pinning entirely.
+  const Topology& topo = Topology::system();
+  const bool multi_node = opts_.numa_aware && !topo.single_node();
 
   // Preemption ticker: bump an epoch every preempt_interval so runners
   // yield out of long builtin bursts for a mid-burst D-threshold check.

@@ -22,7 +22,7 @@ struct JobState {
   // minimum-seeking network (its outstanding-work counter is the per-job
   // termination detector).
   std::unique_ptr<search::Expander> expander;
-  std::unique_ptr<Scheduler> net;
+  std::unique_ptr<WorkStealingScheduler> net;
   JobControls ctl;
   JobConfig cfg;
   std::vector<WorkerStats> wstats;
@@ -155,30 +155,18 @@ JobTicket Executor::submit(JobRequest req) {
   if (job->slots > 1 || !r.forks.empty()) {
     job->expander = std::make_unique<search::Expander>(
         *r.program, *r.weights, r.builtins, r.opts.expander);
-    SchedulerTuning tuning;
-    tuning.adaptive = r.opts.adaptive_capacity;
-    tuning.ewma_window = r.opts.capacity_ewma_window;
-    tuning.local_capacity_seed = r.opts.local_capacity;
     // Per-job schedulers run node-agnostic: the slot→pool-worker binding
     // is dynamic, so tagging a slot's deque with a topology node would
     // claim a locality the attachment order cannot guarantee. The pool
     // threads themselves are NUMA-placed and pinned once at startup.
-    tuning.numa_aware = false;
-    tuning.mailbox_claim_limit = r.opts.mailbox_claim_limit;
-    tuning.stale_refresh_us =
-        static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-            r.opts.stale_refresh_interval.count(), 0,
-            std::numeric_limits<std::uint32_t>::max()));
-    tuning.trace = r.opts.trace;
-    job->net = make_scheduler(r.opts.scheduler, job->slots,
-                              r.opts.steal_deque_capacity, tuning);
+    job->net = prepare_job(r.opts, job->slots, /*numa_aware=*/false,
+                           &job->cancel_flag, job->ctl, job->cfg);
     job->net->push_root(job->expander->make_root(r.query));
     for (std::size_t i = 0; i < r.forks.size(); ++i) {
       search::DetachedNode root = job->expander->make_root(r.forks[i]);
       root.fork_tag = static_cast<std::uint32_t>(i + 1);
       job->net->push_root(std::move(root));
     }
-    job->ctl.arm(r.opts.limits, &job->cancel_flag);
     job->ctl.fork_nodes = r.fork_nodes;
     job->ctl.fork_tag_count = r.fork_tag_count;
     if (r.on_answer) {
@@ -187,11 +175,6 @@ JobTicket Executor::submit(JobRequest req) {
         js->req.on_answer(s);
       };
     }
-    job->cfg.d_threshold = r.opts.d_threshold;
-    job->cfg.local_capacity = r.opts.local_capacity;
-    job->cfg.update_weights = r.opts.update_weights;
-    job->cfg.spill_policy = r.opts.spill_policy;
-    job->cfg.trace = r.opts.trace;
     job->wstats.resize(job->slots);
   }
 

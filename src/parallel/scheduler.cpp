@@ -34,14 +34,6 @@ std::int64_t now_us() {
 
 }  // namespace
 
-const char* scheduler_kind_name(SchedulerKind k) {
-  switch (k) {
-    case SchedulerKind::GlobalFrontier: return "global-frontier";
-    case SchedulerKind::WorkStealing: return "work-stealing";
-  }
-  return "?";
-}
-
 WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
                                              std::size_t deque_capacity,
                                              SchedulerTuning tuning)
@@ -589,8 +581,9 @@ std::optional<search::Node> WorkStealingScheduler::try_acquire_better(
 std::optional<search::Node> WorkStealingScheduler::acquire(unsigned worker) {
   const unsigned self = worker % static_cast<unsigned>(deques_.size());
   unsigned spins = 0;
-  // Registered as idle (the starving() signal busy workers poll) only
-  // once a full victim scan came up empty; cleared on every exit path.
+  // Registered as idle (the starvation signal adapt() and
+  // local_capacity_hint() read) only once a full victim scan came up
+  // empty; cleared on every exit path.
   struct IdleGuard {
     std::atomic<int>& count;
     obs::TraceSink* trace;

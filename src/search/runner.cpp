@@ -467,25 +467,6 @@ DetachedNode Runner::detach_sibling(std::size_t index, ExpandStats* stats) {
   return materialize(std::move(c), stats);
 }
 
-void Runner::detach_overflow(std::size_t base, std::size_t keep,
-                             std::vector<DetachedNode>& out,
-                             ExpandStats* stats) {
-  if (stack_.size() <= keep) return;
-  const std::size_t k = stack_.size() - keep;
-  assert(base + k <= stack_.size());
-  assert(decided_count_ <= base && "fresh siblings are never decided");
-  for (std::size_t i = 0; i < k; ++i) {
-    PendingChoice& c = stack_[base + i];
-    assert(c.cp.trail == trail_.mark() && c.cp.store == store_.watermark() &&
-           "detach_overflow requires fresh siblings checkpointed at the "
-           "current level");
-    out.push_back(materialize(std::move(c), stats));
-  }
-  stack_.erase(stack_.begin() + static_cast<std::ptrdiff_t>(base),
-               stack_.begin() + static_cast<std::ptrdiff_t>(base + k));
-  rebuild_min(base);
-}
-
 std::vector<DetachedNode> Runner::detach_all(ExpandStats* stats) {
   std::vector<DetachedNode> out;
   out.reserve(stack_.size());

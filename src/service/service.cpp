@@ -315,8 +315,6 @@ void QueryService::dispatch_locked(
   // client's deadline.
   jr.opts.limits = st->limits;
   jr.opts.update_weights = opts_.update_weights;
-  jr.opts.scheduler = opts_.parallel_scheduler;
-  jr.opts.spill_policy = parallel::ParallelOptions::SpillPolicy::Lazy;
   jr.opts.preempt_interval = std::chrono::microseconds(0);
   jr.opts.trace = trace_.load(std::memory_order_acquire);
   jr.keepalive = st->snap;

@@ -1,4 +1,4 @@
-// Second-wave parallel-engine tests: stress, spill policy, threshold
+// Second-wave parallel-engine tests: stress, copy-on-steal sharing, threshold
 // corners and repeated-run stability.
 #include <gtest/gtest.h>
 
@@ -54,22 +54,33 @@ TEST(Parallel2, DepthCutoffIsReportedAsDepthLimited) {
 }
 
 TEST(Parallel2, TinyLocalCapacityForcesSharing) {
+  // Capacity 0 with static capacities: every non-leaf choice is published
+  // as a copy-on-steal handle, and the answers must still be exactly the
+  // sequential engine's, with every handle consumed exactly once.
+  Interpreter ref;
+  ref.consult_string(workloads::layered_dag(4, 3));
+  const auto expected = engine::solution_texts(
+      ref.solve("path(n0_0,Z,P)", {.update_weights = false}));
   Interpreter ip;
   ip.consult_string(workloads::layered_dag(4, 3));
   ParallelOptions o;
   o.workers = 4;
-  o.local_capacity = 0;  // everything goes through the network
-  // Eager + static capacities: under the copy-on-steal default, choices
-  // stay on the owner's stack and local takes would be nonzero by design.
-  o.spill_policy = ParallelOptions::SpillPolicy::Eager;
+  o.local_capacity = 0;  // share everything that is not a leaf
   o.adaptive_capacity = false;
   o.update_weights = false;
   ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), o);
   const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
   EXPECT_EQ(r.solutions.size(), 121u);
-  std::uint64_t local = 0;
-  for (const auto& w : r.workers) local += w.local_takes;
-  EXPECT_EQ(local, 0u);  // no local pool to take from
+  EXPECT_EQ(texts(r), expected);
+  EXPECT_TRUE(r.exhausted);
+  std::uint64_t published = 0, consumed = 0;
+  for (const auto& w : r.workers) {
+    published += w.handles_published;
+    consumed += w.handles_reclaimed + w.handles_granted + w.handles_migrated;
+  }
+  EXPECT_GT(published, 0u);
+  EXPECT_EQ(consumed, published);
+  EXPECT_EQ(r.network.handles_published, published);
 }
 
 TEST(Parallel2, HugeLocalCapacityStillTerminates) {

@@ -42,60 +42,6 @@ std::vector<std::string> texts(const ParallelResult& r) {
   return out;
 }
 
-TEST(MinNet, PushPopOrdersByBound) {
-  GlobalFrontier net(3);
-  for (const double b : {3.0, 1.0, 2.0}) {
-    search::Node n;
-    n.bound = b;
-    net.push(std::move(n));
-  }
-  EXPECT_DOUBLE_EQ(*net.min_bound(), 1.0);
-  EXPECT_DOUBLE_EQ(net.pop_blocking()->bound, 1.0);
-  EXPECT_DOUBLE_EQ(net.pop_blocking()->bound, 2.0);
-  EXPECT_DOUBLE_EQ(net.pop_blocking()->bound, 3.0);
-}
-
-TEST(MinNet, TryPopRespectsThresholdD) {
-  GlobalFrontier net(1);
-  search::Node n;
-  n.bound = 5.0;
-  net.push(std::move(n));
-  // local min 6, D=2: 5 >= 6-2 → refuse.
-  EXPECT_FALSE(net.try_pop_if_better(6.0, 2.0).has_value());
-  // local min 8, D=2: 5 < 8-2 → grant.
-  EXPECT_TRUE(net.try_pop_if_better(8.0, 2.0).has_value());
-}
-
-TEST(MinNet, TerminatesWhenInflightZero) {
-  GlobalFrontier net(1);
-  search::Node n;
-  net.push(std::move(n));
-  auto taken = net.pop_blocking();
-  ASSERT_TRUE(taken.has_value());
-  net.on_expanded(0);  // chain died without children
-  EXPECT_FALSE(net.pop_blocking().has_value());
-  EXPECT_TRUE(net.done());
-}
-
-TEST(MinNet, StopWakesWaiters) {
-  GlobalFrontier net(1);
-  std::thread waiter([&] { EXPECT_FALSE(net.pop_blocking().has_value()); });
-  net.stop();
-  waiter.join();
-  EXPECT_TRUE(net.stopped());
-}
-
-TEST(MinNet, StatsCountTraffic) {
-  GlobalFrontier net(2);
-  search::Node a, b;
-  net.push(std::move(a));
-  net.push(std::move(b));
-  (void)net.pop_blocking();
-  const auto st = net.stats();
-  EXPECT_EQ(st.pushes, 2u);
-  EXPECT_EQ(st.pops, 1u);
-}
-
 class ParallelSolve : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelSolve, FamilySolutionsMatchSequential) {

@@ -133,11 +133,10 @@ TEST_P(WorkerCount, ParallelSolutionTextsIdenticalToLegacySequential) {
 }
 
 TEST_P(WorkerCount, TinyLocalCapacityForcesMigrationAndStaysExact) {
-  // Capacity 1 makes nearly every choice migrate through the network —
-  // the stress case for detach/materialize correctness. Pinned to the
-  // eager-materializing policy with static capacities now that the
-  // engine defaults to copy-on-steal (which has its own storm stress in
-  // scheduler_test).
+  // Capacity 1 with static capacities publishes every non-leaf choice
+  // past the first as a copy-on-steal handle — the stress case for the
+  // claim/materialize path. Every handle must be consumed exactly once
+  // and the answers must be the sequential engine's.
   search::SearchOptions o;
   o.update_weights = false;
   Interpreter legacy;
@@ -151,7 +150,6 @@ TEST_P(WorkerCount, TinyLocalCapacityForcesMigrationAndStaysExact) {
   po.workers = GetParam();
   po.local_capacity = 1;
   po.d_threshold = 0.0;
-  po.spill_policy = parallel::ParallelOptions::SpillPolicy::Eager;
   po.adaptive_capacity = false;
   po.update_weights = false;
   parallel::ParallelEngine pe(par.program(), par.weights(), &par.builtins(),
@@ -161,6 +159,15 @@ TEST_P(WorkerCount, TinyLocalCapacityForcesMigrationAndStaysExact) {
   for (const auto& s : r.solutions) got.push_back(s.text);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected);
+  EXPECT_TRUE(r.exhausted);
+  std::uint64_t published = 0, consumed = 0;
+  for (const auto& ws : r.workers) {
+    published += ws.handles_published;
+    consumed +=
+        ws.handles_reclaimed + ws.handles_granted + ws.handles_migrated;
+  }
+  EXPECT_GT(published, 0u);
+  EXPECT_EQ(consumed, published);
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, WorkerCount,
@@ -168,15 +175,12 @@ INSTANTIATE_TEST_SUITE_P(Workers, WorkerCount,
 
 // ------------------------------------------- scheduler cross-regression --
 
-/// (scheduler kind, worker count): the work-stealing scheduler must be
-/// byte-identical to the legacy single-lock GlobalFrontier, which in turn
-/// must match the legacy sequential engine under every strategy.
-class SchedulerGrid
-    : public ::testing::TestWithParam<std::tuple<parallel::SchedulerKind,
-                                                 unsigned>> {};
+/// Worker count: the work-stealing scheduler must match the legacy
+/// sequential engine under every strategy.
+class SchedulerGrid : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(SchedulerGrid, SolutionSetsIdenticalToLegacyAcrossStrategies) {
-  const auto [sched, workers] = GetParam();
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
     // The legacy per-strategy solution sets (already asserted equal to the
     // in-place engine above) are the reference for every scheduler.
@@ -195,7 +199,6 @@ TEST_P(SchedulerGrid, SolutionSetsIdenticalToLegacyAcrossStrategies) {
       parallel::ParallelOptions po;
       po.workers = workers;
       po.update_weights = false;
-      po.scheduler = sched;
       parallel::ParallelEngine pe(par.program(), par.weights(),
                                   &par.builtins(), po);
       const auto r = pe.solve(par.parse_query(w.query));
@@ -203,41 +206,9 @@ TEST_P(SchedulerGrid, SolutionSetsIdenticalToLegacyAcrossStrategies) {
       for (const auto& s : r.solutions) got.push_back(s.text);
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expected)
-          << w.name << " / " << search::strategy_name(strat) << " / "
-          << parallel::scheduler_kind_name(sched) << " workers=" << workers;
+          << w.name << " / " << search::strategy_name(strat)
+          << " workers=" << workers;
       EXPECT_TRUE(r.exhausted) << w.name;
-    }
-  }
-}
-
-TEST_P(SchedulerGrid, LazySpillMatchesEagerSpill) {
-  // Copy deferral must never change what is found: the starvation-gated
-  // policy and the copy-on-steal handle policy both have to be
-  // byte-identical to unconditional eager spilling.
-  using Spill = parallel::ParallelOptions::SpillPolicy;
-  const auto [sched, workers] = GetParam();
-  for (const Workload& w : workload_set()) {
-    auto run = [&](Spill spill) {
-      Interpreter ip;
-      ip.consult_string(w.program);
-      parallel::ParallelOptions po;
-      po.workers = workers;
-      po.update_weights = false;
-      po.scheduler = sched;
-      po.spill_policy = spill;
-      parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
-                                  po);
-      const auto r = pe.solve(ip.parse_query(w.query));
-      std::vector<std::string> got;
-      for (const auto& s : r.solutions) got.push_back(s.text);
-      std::sort(got.begin(), got.end());
-      return got;
-    };
-    const auto eager = run(Spill::Eager);
-    for (const Spill deferred : {Spill::WhenStarving, Spill::Lazy}) {
-      EXPECT_EQ(run(deferred), eager)
-          << w.name << " workers=" << workers << " policy="
-          << (deferred == Spill::Lazy ? "lazy" : "when-starving");
     }
   }
 }
@@ -249,7 +220,7 @@ TEST_P(SchedulerGrid, MailboxClaimsMatchSequential) {
   // sequential engine's solution set. On single-node hosts this also pins
   // the NUMA fallback path: worker placement and victim scans must behave
   // exactly as before.
-  const auto [sched, workers] = GetParam();
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
     search::SearchOptions so;
     so.update_weights = false;
@@ -262,8 +233,6 @@ TEST_P(SchedulerGrid, MailboxClaimsMatchSequential) {
     parallel::ParallelOptions po;
     po.workers = workers;
     po.update_weights = false;
-    po.scheduler = sched;
-    po.spill_policy = parallel::ParallelOptions::SpillPolicy::Lazy;
     po.local_capacity = 1;  // publish nearly everything: maximize claims
     parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
                                 po);
@@ -271,19 +240,16 @@ TEST_P(SchedulerGrid, MailboxClaimsMatchSequential) {
     std::vector<std::string> got;
     for (const auto& s : r.solutions) got.push_back(s.text);
     std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, expected)
-        << w.name << " workers=" << workers << " scheduler="
-        << parallel::scheduler_kind_name(sched);
+    EXPECT_EQ(got, expected) << w.name << " workers=" << workers;
     EXPECT_TRUE(r.exhausted) << w.name;
   }
 }
 
 TEST_P(SchedulerGrid, StaticAnalysisOnOffIsByteIdentical) {
   // The consult-time analysis may only change how work executes (trail-free
-  // commits, skipped spills) — never what is found. Every scheduler/worker
-  // combination must produce byte-identical solution sets with the analysis
-  // disabled.
-  const auto [sched, workers] = GetParam();
+  // commits, skipped spills) — never what is found. Every worker count
+  // must produce byte-identical solution sets with the analysis disabled.
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
     auto run = [&](bool analysis_on) {
       Interpreter ip;
@@ -291,7 +257,6 @@ TEST_P(SchedulerGrid, StaticAnalysisOnOffIsByteIdentical) {
       parallel::ParallelOptions po;
       po.workers = workers;
       po.update_weights = false;
-      po.scheduler = sched;
       po.expander.static_analysis = analysis_on;
       parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
                                   po);
@@ -301,17 +266,15 @@ TEST_P(SchedulerGrid, StaticAnalysisOnOffIsByteIdentical) {
       std::sort(got.begin(), got.end());
       return got;
     };
-    EXPECT_EQ(run(true), run(false))
-        << w.name << " workers=" << workers << " scheduler="
-        << parallel::scheduler_kind_name(sched);
+    EXPECT_EQ(run(true), run(false)) << w.name << " workers=" << workers;
   }
 }
 
 TEST_P(SchedulerGrid, FlightRecorderOnOffIsByteIdentical) {
   // The flight recorder observes; it must never steer. Attaching a sink
-  // has to leave every scheduler/worker combination's solution set
-  // byte-identical to the untraced run, while actually recording events.
-  const auto [sched, workers] = GetParam();
+  // has to leave every worker count's solution set byte-identical to the
+  // untraced run, while actually recording events.
+  const unsigned workers = GetParam();
   for (const Workload& w : workload_set()) {
     auto run = [&](obs::TraceSink* sink) {
       Interpreter ip;
@@ -319,7 +282,6 @@ TEST_P(SchedulerGrid, FlightRecorderOnOffIsByteIdentical) {
       parallel::ParallelOptions po;
       po.workers = workers;
       po.update_weights = false;
-      po.scheduler = sched;
       po.trace = sink;
       parallel::ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(),
                                   po);
@@ -330,19 +292,13 @@ TEST_P(SchedulerGrid, FlightRecorderOnOffIsByteIdentical) {
       return got;
     };
     obs::TraceSink sink;
-    EXPECT_EQ(run(&sink), run(nullptr))
-        << w.name << " workers=" << workers << " scheduler="
-        << parallel::scheduler_kind_name(sched);
+    EXPECT_EQ(run(&sink), run(nullptr)) << w.name << " workers=" << workers;
     EXPECT_GT(sink.recorded(), 0u) << w.name;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SchedulerWorkers, SchedulerGrid,
-    ::testing::Combine(
-        ::testing::Values(parallel::SchedulerKind::GlobalFrontier,
-                          parallel::SchedulerKind::WorkStealing),
-        ::testing::Values(1u, 2u, 4u, 8u)));
+INSTANTIATE_TEST_SUITE_P(SchedulerWorkers, SchedulerGrid,
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 // ------------------------------------- compile layer (index × bytecode) --
 
@@ -489,14 +445,14 @@ std::vector<Workload> andor_workload_set() {
 
 /// The tentpole grid: unified AND/OR execution must be byte-identical to
 /// the sequential interpreter across {and-parallel on/off} × {fork:
-/// static/runtime/off} × {scheduler} × {workers 1,2,8}, with the
-/// strategy axis folded into the per-group engine options.
+/// static/runtime/off} × {workers 1,2,8}, with the strategy axis folded
+/// into the per-group engine options.
 class AndOrGrid
-    : public ::testing::TestWithParam<
-          std::tuple<andp::ForkMode, parallel::SchedulerKind, unsigned>> {};
+    : public ::testing::TestWithParam<std::tuple<andp::ForkMode, unsigned>> {
+};
 
 TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
-  const auto [fork, kind, workers] = GetParam();
+  const auto [fork, workers] = GetParam();
   for (const Workload& w : andor_workload_set()) {
     for (const auto strat :
          {search::Strategy::DepthFirst, search::Strategy::BestFirst}) {
@@ -513,13 +469,12 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
       andp::AndParallelOptions o;
       o.search = so;
       o.fork = fork;
-      o.scheduler = kind;
       o.workers = workers;
       const auto res = andp::solve_and_parallel(uni, w.query, o);
       EXPECT_EQ(res.outcome, search::Outcome::Exhausted) << w.name;
       EXPECT_EQ(solution_texts(res.solutions), expected)
           << w.name << " fork=" << andp::fork_mode_name(fork)
-          << " sched=" << static_cast<int>(kind) << " workers=" << workers
+          << " workers=" << workers
           << " strat=" << search::strategy_name(strat);
       EXPECT_EQ(res.join_resolves, 1u) << w.name;
     }
@@ -527,7 +482,7 @@ TEST_P(AndOrGrid, UnifiedSolutionsByteIdenticalToSequential) {
 }
 
 TEST_P(AndOrGrid, SharedVariableSemiJoinOnOffIsByteIdentical) {
-  const auto [fork, kind, workers] = GetParam();
+  const auto [fork, workers] = GetParam();
   const Workload w = andor_workload_set()[1];  // the semi-join chain
   Interpreter seq;
   seq.consult_string(w.program);
@@ -540,7 +495,6 @@ TEST_P(AndOrGrid, SharedVariableSemiJoinOnOffIsByteIdentical) {
     andp::AndParallelOptions o;
     o.search = so;
     o.fork = fork;
-    o.scheduler = kind;
     o.workers = workers;
     o.use_semi_join = semi;
     const auto res = andp::solve_and_parallel(uni, w.query, o);
@@ -550,7 +504,7 @@ TEST_P(AndOrGrid, SharedVariableSemiJoinOnOffIsByteIdentical) {
 }
 
 TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
-  const auto [fork, kind, workers] = GetParam();
+  const auto [fork, workers] = GetParam();
   // A tiny group beside a large one, with a node budget that lets the
   // tiny group finish (and deposit its answers into the join) while the
   // large group is still running: the poisoned join must refuse to
@@ -565,7 +519,6 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     o.search.update_weights = false;
     o.search.limits.max_nodes = 10;  // tiny finishes, the DAG walk cannot
     o.fork = fork;
-    o.scheduler = kind;
     o.workers = workers;
     const auto res = andp::solve_and_parallel(ip, w.query, o);
     EXPECT_EQ(res.outcome, search::Outcome::BudgetExceeded);
@@ -581,7 +534,6 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     o.search.update_weights = false;
     o.search.cancel = &cancel;
     o.fork = fork;
-    o.scheduler = kind;
     o.workers = workers;
     const auto res = andp::solve_and_parallel(ip, w.query, o);
     EXPECT_EQ(res.outcome, search::Outcome::Cancelled);
@@ -595,8 +547,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(andp::ForkMode::Static,
                                          andp::ForkMode::Runtime,
                                          andp::ForkMode::Off),
-                       ::testing::Values(parallel::SchedulerKind::GlobalFrontier,
-                                         parallel::SchedulerKind::WorkStealing),
                        ::testing::Values(1u, 2u, 8u)));
 
 // ------------------------------------------------------- copy accounting --

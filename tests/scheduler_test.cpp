@@ -21,7 +21,6 @@ namespace blog::parallel {
 namespace {
 
 using engine::Interpreter;
-using Spill = ParallelOptions::SpillPolicy;
 
 search::Node node_with_bound(double b) {
   search::Node n;
@@ -102,33 +101,75 @@ TEST(WorkStealing, TerminatesWhenInflightZero) {
   EXPECT_FALSE(s.acquire(1).has_value());
 }
 
+/// Spin until a thread blocked in acquire() has registered as idle. The
+/// first event an empty-handed acquire records is kStarveOn, so any event
+/// past `before` means the waiter is parked in the backoff loop.
+void wait_for_idle(const obs::TraceSink& sink, std::uint64_t before) {
+  while (sink.recorded() == before) std::this_thread::yield();
+}
+
 TEST(WorkStealing, StopUnblocksIdleWorkers) {
-  WorkStealingScheduler s(2);
+  obs::TraceSink sink;
+  SchedulerTuning t;
+  t.trace = &sink;
+  WorkStealingScheduler s(2, /*deque_capacity=*/64, t);
   s.push_root(node_with_bound(0.0));  // inflight 1, so acquire(1) waits
   ASSERT_TRUE(s.acquire(0).has_value());
+  const std::uint64_t before = sink.recorded();
   std::thread waiter([&] { EXPECT_FALSE(s.acquire(1).has_value()); });
-  while (!s.starving()) std::this_thread::yield();
+  wait_for_idle(sink, before);
   s.stop();
   waiter.join();
   EXPECT_TRUE(s.stopped());
 }
 
-TEST(WorkStealing, StarvingSignalTracksIdleWorkers) {
-  WorkStealingScheduler s(2);
+TEST(WorkStealing, IdleWorkerCollapsesTheAdaptiveHint) {
+  // An unstolen spill with nobody idle grows worker 0's local-capacity
+  // hint above its seed; once a worker blocks in acquire() the hint must
+  // collapse back to the seed, so the grown pool re-opens to thieves.
+  // The parked waiter then takes the next spill.
+  obs::TraceSink sink;
+  SchedulerTuning t;
+  t.ewma_window = 1;  // alpha = 1: the EWMA tracks the last sample exactly
+  t.trace = &sink;
+  WorkStealingScheduler s(2, /*deque_capacity=*/8, t);
   s.push_root(node_with_bound(0.0));
   ASSERT_TRUE(s.acquire(0).has_value());
-  EXPECT_FALSE(s.starving());  // nobody waiting yet
+  s.on_expanded(2);
+  std::vector<search::Node> b1;
+  b1.push_back(node_with_bound(1.0));
+  s.push_batch(0, std::move(b1));
+  ASSERT_TRUE(s.acquire(0).has_value());  // own chain back: deques empty
+  EXPECT_GT(s.local_capacity_hint(0, 8), 8u);
+  const std::uint64_t before = sink.recorded();
   std::thread waiter([&] {
     auto n = s.acquire(1);  // blocks until the push below
-    EXPECT_TRUE(n.has_value());
+    ASSERT_TRUE(n.has_value());
+    EXPECT_DOUBLE_EQ(n->bound, 2.0);
   });
-  while (!s.starving()) std::this_thread::yield();
-  std::vector<search::Node> batch;
-  batch.push_back(node_with_bound(1.0));
+  wait_for_idle(sink, before);
+  EXPECT_EQ(s.local_capacity_hint(0, 8), 8u);
   s.on_expanded(2);  // the expansion that produced the spilled chain
-  s.push_batch(0, std::move(batch));
+  std::vector<search::Node> b2;
+  b2.push_back(node_with_bound(2.0));
+  s.push_batch(0, std::move(b2));
   waiter.join();
-  EXPECT_FALSE(s.starving());
+  s.stop();
+}
+
+TEST(WorkStealing, StatsCountTraffic) {
+  WorkStealingScheduler s(2);
+  s.push_root(node_with_bound(0.0));
+  s.on_expanded(2);
+  std::vector<search::Node> b;
+  b.push_back(node_with_bound(1.0));
+  s.push_batch(0, std::move(b));
+  ASSERT_TRUE(s.acquire(0).has_value());
+  const auto st = s.stats();
+  EXPECT_EQ(st.pushes, 2u);  // the root and one spilled chain
+  EXPECT_EQ(st.pops, 1u);
+  EXPECT_EQ(st.grants, 1u);
+  EXPECT_EQ(st.expansions, 1u);
   s.stop();
 }
 
@@ -159,13 +200,6 @@ TEST(WorkStealing, OverflowOffloadsHalfToTheEmptiestPeer) {
   EXPECT_GE(s.stats().offloads, 1u);
   for (double expect : {0.0, 1.0, 2.0, 3.0})
     EXPECT_DOUBLE_EQ(s.acquire(0)->bound, expect);
-}
-
-TEST(Scheduler, KindNamesAreStable) {
-  EXPECT_STREQ(scheduler_kind_name(SchedulerKind::GlobalFrontier),
-               "global-frontier");
-  EXPECT_STREQ(scheduler_kind_name(SchedulerKind::WorkStealing),
-               "work-stealing");
 }
 
 // -------------------------------------------------- adaptive capacity ----
@@ -402,7 +436,6 @@ TEST(CopyOnSteal, LeafFactEnumerationPublishesNoHandles) {
   po.local_capacity = 1;
   po.adaptive_capacity = false;
   po.update_weights = false;
-  po.spill_policy = Spill::Lazy;
   const auto r = solve_parallel(program, "f(X)", po);
   EXPECT_EQ(texts(r), expected);
   EXPECT_TRUE(r.exhausted);
@@ -482,7 +515,6 @@ TEST(CopyOnSteal, MixedLeafAndRuleStormConservesHandles) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.spill_policy = Spill::Lazy;
     const auto r = solve_parallel(program, "p(X,Y)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -703,9 +735,7 @@ TEST(StaleRefresh, FreshPublishIsNotRefreshed) {
 
 // ------------------------------------- max_solutions exact-count (fix) --
 
-class SchedulerKindP : public ::testing::TestWithParam<SchedulerKind> {};
-
-TEST_P(SchedulerKindP, MaxSolutionsNeverOvershootsUnderContention) {
+TEST(WorkStealing, MaxSolutionsNeverOvershootsUnderContention) {
   // Many workers racing a tiny limit on a solution-rich tree: the CAS
   // claim loop must keep the published count exactly at the limit, run
   // after run. (The old fetch_sub wrapped the counter past zero and let
@@ -717,17 +747,12 @@ TEST_P(SchedulerKindP, MaxSolutionsNeverOvershootsUnderContention) {
     po.limits.max_solutions = 3;
     po.local_capacity = 1;  // maximize sharing → maximize the race
     po.update_weights = false;
-    po.scheduler = GetParam();
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(r.solutions.size(), 3u) << "run " << run;
     EXPECT_EQ(r.outcome, search::Outcome::SolutionLimit);
     EXPECT_FALSE(r.exhausted);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Both, SchedulerKindP,
-                         ::testing::Values(SchedulerKind::GlobalFrontier,
-                                           SchedulerKind::WorkStealing));
 
 // ------------------------------------------------- steal-storm stress ----
 
@@ -744,7 +769,6 @@ TEST(WorkStealingStress, TinyDequesManyWorkersStayExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -765,8 +789,6 @@ TEST(WorkStealingStress, LazyHandleStormStaysExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
     EXPECT_TRUE(r.exhausted);
@@ -800,8 +822,6 @@ TEST(WorkStealingStress, MailboxStormStaysExact) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     po.stale_refresh_interval = std::chrono::microseconds(1);
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(texts(r), expected) << "run " << run;
@@ -823,8 +843,6 @@ TEST(WorkStealingStress, LazyAbandonUnderStopRacesThievesCleanly) {
     po.steal_deque_capacity = 1;
     po.adaptive_capacity = false;
     po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
     EXPECT_EQ(r.solutions.size(), 3u) << "run " << run;
     EXPECT_EQ(r.outcome, search::Outcome::SolutionLimit);
@@ -845,8 +863,6 @@ TEST(WorkStealingStress, LazyMigrationDetachAllRacesThievesCleanly) {
     po.local_capacity = 1;
     po.steal_deque_capacity = 2;
     po.adaptive_capacity = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::Lazy;
     ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
     const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
     EXPECT_EQ(r.solutions.size(), 40u) << "run " << run;
@@ -916,23 +932,6 @@ TEST(Preemption, DisabledTimerNeverPreempts) {
   EXPECT_EQ(preemptions, 0u);
 }
 
-TEST(WorkStealingStress, LazySpillKeepsTheSolutionSet) {
-  // SpillPolicy::WhenStarving defers materialization until someone is
-  // idle; the answer set must not depend on when copies happen.
-  const std::string program = workloads::layered_dag(4, 3);
-  const auto expected = sequential_expected(program, "path(n0_0,Z,P)");
-  for (const unsigned workers : {1u, 2u, 4u, 8u}) {
-    ParallelOptions po;
-    po.workers = workers;
-    po.update_weights = false;
-    po.scheduler = SchedulerKind::WorkStealing;
-    po.spill_policy = Spill::WhenStarving;
-    const auto r = solve_parallel(program, "path(n0_0,Z,P)", po);
-    EXPECT_EQ(texts(r), expected) << "workers " << workers;
-    EXPECT_TRUE(r.exhausted);
-  }
-}
-
 TEST(WorkStealingStress, WeightUpdatesRaceCleanly) {
   // §5 weight updates on, many workers, tiny deques: exercises the
   // scheduler and the weight store together for the sanitizer jobs.
@@ -942,7 +941,6 @@ TEST(WorkStealingStress, WeightUpdatesRaceCleanly) {
   po.workers = 8;
   po.local_capacity = 1;
   po.steal_deque_capacity = 2;
-  po.scheduler = SchedulerKind::WorkStealing;
   ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), po);
   const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
   EXPECT_EQ(r.solutions.size(), 40u);
