@@ -219,10 +219,13 @@ Entry run_lookup_batch(const std::string& name, const std::string& program,
   return e;
 }
 
+/// Times `reps` back-to-back solves of `query` (after one untimed warm-up);
+/// every counter in the entry is the total over those solves.
 Entry run_parallel(const std::string& name, const std::string& program,
                    const std::string& query, unsigned workers,
                    std::size_t max_nodes = 1'000'000,
-                   std::size_t local_capacity = 8, bool adaptive = false) {
+                   std::size_t local_capacity = 8, bool adaptive = false,
+                   int reps = 1) {
   engine::Interpreter ip;
   ip.consult_string(program);
   parallel::ParallelOptions po;
@@ -236,29 +239,31 @@ Entry run_parallel(const std::string& name, const std::string& program,
   // returned to the OS, so the timed run measures the scheduler rather
   // than first-touch page faults.
   (void)pe.solve(ip.parse_query(query));
-  const auto t0 = Clock::now();
-  const auto r = pe.solve(ip.parse_query(query));
   Entry e;
   e.name = name;
-  e.secs = seconds_since(t0);
-  e.nodes = r.nodes_expanded;
-  for (const auto& w : r.workers) {
-    e.cells_copied += w.cells_copied;
-    e.handles_published += w.handles_published;
-    e.handles_reclaimed += w.handles_reclaimed;
-    e.handles_granted += w.handles_granted;
-    e.handles_migrated += w.handles_migrated;
-  }
-  e.solutions = r.solutions.size();
   e.has_sched = true;
-  e.lock_acquisitions = r.network.lock_acquisitions;
-  e.steals = r.network.steals;
-  e.steals_local = r.network.steals_local;
-  e.steals_remote = r.network.steals_remote;
-  e.claim_wait_us = r.network.claim_wait_us;
-  e.mailbox_parked = r.network.mailbox_parked;
-  e.mailbox_drained = r.network.mailbox_drained;
-  e.stale_refreshes = r.network.stale_refreshes;
+  const auto t0 = Clock::now();
+  for (int i = 0; i < reps; ++i) {
+    const auto r = pe.solve(ip.parse_query(query));
+    e.nodes += r.nodes_expanded;
+    for (const auto& w : r.workers) {
+      e.cells_copied += w.cells_copied;
+      e.handles_published += w.handles_published;
+      e.handles_reclaimed += w.handles_reclaimed;
+      e.handles_granted += w.handles_granted;
+      e.handles_migrated += w.handles_migrated;
+    }
+    e.solutions += r.solutions.size();
+    e.lock_acquisitions += r.network.lock_acquisitions;
+    e.steals += r.network.steals;
+    e.steals_local += r.network.steals_local;
+    e.steals_remote += r.network.steals_remote;
+    e.claim_wait_us += r.network.claim_wait_us;
+    e.mailbox_parked += r.network.mailbox_parked;
+    e.mailbox_drained += r.network.mailbox_drained;
+    e.stale_refreshes += r.network.stale_refreshes;
+  }
+  e.secs = seconds_since(t0);
   return e;
 }
 
@@ -694,10 +699,15 @@ int main(int argc, char** argv) {
       "t(l). t(n(L,R)) :- t(L), t(R). probe :- t(T), fail.";
   constexpr std::size_t kDeepNodes = 60'000;
   constexpr std::size_t kDeepCapacity = 2;
+  // One dag solve (1092 nodes) takes 3-9 ms, under bench_compare.py's
+  // 10 ms --min-seconds floor, so each dag arm times kDagReps solves of
+  // the same instance: long enough for its nodes/sec gate to apply.
+  constexpr int kDagReps = 30;
   std::vector<Entry> par;
   for (const unsigned w : {1u, 2u, 4u, 8u})
     par.push_back(run_parallel("dag_w" + std::to_string(w) + "_steal", dag,
-                               "path(n0_0,Z,P)", w));
+                               "path(n0_0,Z,P)", w, 1'000'000, 8, false,
+                               kDagReps));
   write_json(dir + "BENCH_parallel.json", par);
 
   // Copy-on-steal with adaptive capacity (the default stack) on the deep

@@ -7,6 +7,7 @@
 #include "blog/engine/interpreter.hpp"
 #include "blog/search/frontier.hpp"
 #include "blog/term/reader.hpp"
+#include "blog/term/unify.hpp"
 #include "blog/workloads/workloads.hpp"
 
 using namespace blog;
@@ -63,7 +64,7 @@ void BM_ImportTerm(benchmark::State& state) {
   const auto rt = term::parse_term("f(g(X,[1,2,3,4]),h(Y,Z),i(X,Y,Z))", src);
   for (auto _ : state) {
     term::Store dst;
-    std::unordered_map<term::TermRef, term::TermRef> vmap;
+    term::VarMap vmap;
     benchmark::DoNotOptimize(dst.import(src, rt.term, vmap));
   }
 }
@@ -131,6 +132,36 @@ void BM_FrontierBestFirst(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FrontierBestFirst)->Arg(64)->Arg(1024);
+
+// The best-first engine's per-node copy: compact a route-search state
+// (answer template, recursive call, pending `is` accumulators) — about 40
+// cells, 8 roots, variables shared across roots, one bound variable to
+// dereference — into a reused destination, as Runner::materialize does.
+void BM_CompactInto(benchmark::State& state) {
+  term::Store src;
+  const auto rt = term::parse_term(
+      "s(ans([n0,n1,n2,n3|P],C), route(n3,n9,P,C4), C3 is 4+C4, "
+      "C2 is 3+C3, C1 is 2+C2, C is 1+C1, C =< 40, edge(n3,M,W))",
+      src);
+  const term::TermRef s = src.deref(rt.term);
+  const std::span<const term::TermRef> roots = src.args(s);
+  term::Trail trail;
+  term::unify(src, src.arg(src.deref(roots[7]), 1), src.make_atom("n4"), trail);
+  term::Store dst;
+  term::VarMap vmap;
+  std::vector<term::TermRef> out;
+  for (auto _ : state) {
+    dst.clear();
+    out.clear();
+    src.compact_into(dst, roots, out, vmap);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["cells"] = static_cast<double>(dst.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(dst.size()));
+}
+BENCHMARK(BM_CompactInto);
 
 void BM_WeightStoreLookup(benchmark::State& state) {
   db::WeightStore ws;

@@ -86,7 +86,9 @@ private:
 };
 
 /// Min-heap on (bound, insertion order): the branch-and-bound open list.
-/// Ties break FIFO so equal-bound nodes expand in generation order.
+/// Ties break FIFO so equal-bound nodes expand in generation order. Nodes
+/// sit still in a slab with a free list; the heap orders small
+/// `{bound, seq, slot}` keys, so a sift never moves a node.
 class BestFirstFrontier final : public Frontier {
 public:
   void push(Node n) override;
@@ -97,18 +99,20 @@ public:
   std::size_t prune_above(double cutoff) override;
 
 private:
-  struct Entry {
+  struct Key {
     double bound;
     std::uint64_t seq;
-    Node node;
+    std::uint32_t slot;  ///< index of the node in slab_
   };
   struct Cmp {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.bound != b.bound) return a.bound > b.bound;
       return a.seq > b.seq;
     }
   };
-  std::vector<Entry> heap_;  // std::*_heap managed
+  std::vector<Key> heap_;            // std::*_heap managed
+  std::vector<Node> slab_;           // queued nodes (and moved-from shells)
+  std::vector<std::uint32_t> free_;  // slab_ slots not holding a queued node
   std::uint64_t seq_ = 0;
 };
 

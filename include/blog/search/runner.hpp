@@ -16,7 +16,6 @@
 /// processors' local memories.
 #pragma once
 
-#include <unordered_map>
 #include <unordered_set>
 
 #include "blog/search/node.hpp"
@@ -351,8 +350,14 @@ private:
   std::size_t decided_count_ = 0;
   SpillCounters spill_counters_;
 
-  // scratch (reused across steps to avoid allocation churn)
-  std::unordered_map<term::TermRef, term::TermRef> vmap_;
+  // scratch (reused across steps to avoid allocation churn). `vmap_`
+  // serves every copy this runner makes — clause renaming, compaction and
+  // as-of materialization — never two at once. Compaction builds into
+  // `copy_` and the detached store is then copied out of it at exact size:
+  // one allocation per array instead of one per capacity doubling, and no
+  // slack held by queued nodes.
+  term::VarMap vmap_;
+  term::Store copy_;
   std::vector<term::TermRef> body_;
   std::vector<PendingChoice> fresh_;
   db::HeadMatcher matcher_;

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -38,6 +37,58 @@ struct Cell {
   std::uint32_t c = 0;
 };
 
+/// Variable renaming map of a copy: source variable → its fresh copy in
+/// the destination store (`Store::import`, `compact_into`). Flat open
+/// addressing with linear probing, sized by the number of variables
+/// copied (never by the source store). Every slot carries a generation
+/// stamp, so `clear()` is O(1) and a map reused across copies (one per
+/// consult, one per Runner) keeps its capacity without rehashing.
+class VarMap {
+public:
+  /// Generation stamp. 16 bits keep a slot at 12 bytes; the rare wrap
+  /// (every 65535 clears) resets all stamps once.
+  using Stamp = std::uint16_t;
+
+  /// The value mapped to `key`, inserted as `kNullTerm` when absent.
+  TermRef& operator[](TermRef key) {
+    if ((size_ + 1) * 2 > slots_.size()) grow();
+    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+      Slot& s = slots_[i];
+      if (s.stamp != stamp_) {
+        s = Slot{key, kNullTerm, stamp_};
+        ++size_;
+        return s.value;
+      }
+      if (s.key == key) return s.value;
+    }
+  }
+  /// The value mapped to `key`, or nullptr.
+  [[nodiscard]] const TermRef* find(TermRef key) const;
+  [[nodiscard]] std::size_t size() const { return size_; }
+  /// Forget every entry; capacity is kept.
+  void clear();
+
+private:
+  struct Slot {
+    TermRef key = 0;
+    TermRef value = kNullTerm;
+    Stamp stamp = 0;  ///< live iff equal to the map's current stamp
+  };
+  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
+  [[nodiscard]] std::size_t home(TermRef key) const {
+    // Fibonacci hashing: the top bits of the product spread consecutive
+    // cell indices (the usual keys) across the table.
+    const std::uint32_t h = key * 0x9E3779B1u;
+    return h >> shift_;
+  }
+  void grow();
+
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
+  std::size_t size_ = 0;
+  unsigned shift_ = 32;      ///< 32 - log2(slots_.size())
+  Stamp stamp_ = 1;          ///< 0 marks a never-used slot
+};
+
 /// Arena of term cells plus argument pool. Movable, cheap to create.
 class Store {
 public:
@@ -48,6 +99,8 @@ public:
   TermRef make_atom(Symbol name);
   TermRef make_atom(std::string_view name) { return make_atom(intern(name)); }
   TermRef make_int(std::int64_t v);
+  /// `args` must not view this store's own argument pool (appending to the
+  /// pool may reallocate it).
   TermRef make_struct(Symbol functor, std::span<const TermRef> args);
   TermRef make_list(std::span<const TermRef> items, TermRef tail = kNullTerm);
 
@@ -116,17 +169,19 @@ public:
   /// Deep-copy `t` (in `src`) into this store, dereferencing bindings along
   /// the way. Unbound source variables map to fresh variables here;
   /// `var_map` makes the mapping stable across multiple copies (clause
-  /// renaming, answer extraction).
-  TermRef import(const Store& src, TermRef t,
-                 std::unordered_map<TermRef, TermRef>& var_map);
+  /// renaming, answer extraction). Cells are laid out in post-order
+  /// (arguments before their structure); the walk is iterative, so term
+  /// depth is bounded by memory, not by the call stack.
+  TermRef import(const Store& src, TermRef t, VarMap& var_map);
 
   /// Export exactly the cells reachable from `roots` into `dst` (one term
   /// per root appended to `out`), dereferencing bindings along the way and
   /// sharing variables across roots through one map. This is the
   /// copy-on-migration primitive: the result is an independent, compacted
   /// state no matter how large this (trail-managed) arena has grown.
+  /// `var_map` is caller-owned scratch, cleared on entry.
   void compact_into(Store& dst, std::span<const TermRef> roots,
-                    std::vector<TermRef>& out) const;
+                    std::vector<TermRef>& out, VarMap& var_map) const;
 
   /// `compact_into` as of an earlier checkpoint: variables in `undone`
   /// (the trail segment recorded since that checkpoint) are treated as
@@ -139,7 +194,8 @@ public:
   /// running above the handle's checkpoint.
   void compact_into_as_of(Store& dst, std::span<const TermRef> roots,
                           std::vector<TermRef>& out,
-                          const std::unordered_set<TermRef>& undone) const;
+                          const std::unordered_set<TermRef>& undone,
+                          VarMap& var_map) const;
 
   /// Structural equality of two (possibly cross-store) terms after deref.
   /// Unbound variables are equal only when `lhs`/`rhs` resolve to the same

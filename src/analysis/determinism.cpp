@@ -24,8 +24,8 @@ std::optional<db::FirstArgKey> head_key(const db::Clause& c) {
 /// can match both clauses — they are not mutually exclusive.
 bool heads_unify(const db::Clause& a, const db::Clause& b) {
   term::Store scratch;
-  std::unordered_map<term::TermRef, term::TermRef> va;
-  std::unordered_map<term::TermRef, term::TermRef> vb;
+  term::VarMap va;
+  term::VarMap vb;
   const term::TermRef ha = scratch.import(a.store(), a.head(), va);
   const term::TermRef hb = scratch.import(b.store(), b.head(), vb);
   term::Trail trail;

@@ -35,6 +35,7 @@ ClauseId Program::add_clause(Clause c) {
 void Program::consult_string(std::string_view text) {
   term::Store scratch;
   term::Reader reader(text, scratch);
+  term::VarMap vmap;  // one per consult, cleared per clause
   while (auto rt = reader.next()) {
     const term::TermRef t = scratch.deref(rt->term);
     term::TermRef head = t;
@@ -47,7 +48,7 @@ void Program::consult_string(std::string_view text) {
     // Re-import head and body into the clause's private store so the
     // scratch store can be reused.
     term::Store cs;
-    std::unordered_map<term::TermRef, term::TermRef> vmap;
+    vmap.clear();
     const term::TermRef h = cs.import(scratch, head, vmap);
     std::vector<term::TermRef> b(body.size());
     for (std::size_t i = 0; i < body.size(); ++i)

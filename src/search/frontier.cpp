@@ -65,14 +65,26 @@ std::size_t BreadthFirstFrontier::prune_above(double cutoff) {
 }
 
 void BestFirstFrontier::push(Node n) {
-  heap_.push_back(Entry{n.bound, seq_++, std::move(n)});
+  const double bound = n.bound;
+  auto slot = static_cast<std::uint32_t>(slab_.size());
+  if (free_.empty()) {
+    slab_.push_back(std::move(n));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    slab_[slot] = std::move(n);
+  }
+  heap_.push_back(Key{bound, seq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), Cmp{});
 }
 
 Node BestFirstFrontier::pop() {
   std::pop_heap(heap_.begin(), heap_.end(), Cmp{});
-  Node n = std::move(heap_.back().node);
+  const std::uint32_t slot = heap_.back().slot;
   heap_.pop_back();
+  // Moving out leaves an empty shell (no store, goals or chain held).
+  Node n = std::move(slab_[slot]);
+  free_.push_back(slot);
   return n;
 }
 
@@ -85,7 +97,13 @@ double BestFirstFrontier::min_bound() const {
 
 std::size_t BestFirstFrontier::prune_above(double cutoff) {
   const auto before = heap_.size();
-  std::erase_if(heap_, [&](const Entry& e) { return e.bound > cutoff; });
+  std::erase_if(heap_, [&](const Key& k) {
+    if (k.bound <= cutoff) return false;
+    slab_[k.slot] = Node{};  // release the pruned node's store now
+    free_.push_back(k.slot);
+    return true;
+  });
+  // (bound, seq) is a total order, so any valid heap pops the same sequence.
   std::make_heap(heap_.begin(), heap_.end(), Cmp{});
   return before - heap_.size();
 }

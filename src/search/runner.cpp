@@ -422,7 +422,9 @@ DetachedNode Runner::materialize(PendingChoice&& c, ExpandStats* stats) {
 
   DetachedNode d;
   std::vector<term::TermRef> out;
-  store_.compact_into(d.store, roots, out);
+  copy_.clear();
+  store_.compact_into(copy_, roots, out, vmap_);
+  d.store = copy_;
   std::size_t k = 0;
   if (with_answer) d.answer = out[k++];
   d.goals.reserve(body_.size() + pg.size() - 1);
@@ -499,7 +501,9 @@ DetachedNode Runner::detach_state(ExpandStats* stats) {
 
   DetachedNode d;
   std::vector<term::TermRef> out;
-  store_.compact_into(d.store, roots, out);
+  copy_.clear();
+  store_.compact_into(copy_, roots, out, vmap_);
+  d.store = copy_;
   std::size_t k = 0;
   if (with_answer) d.answer = out[k++];
   d.goals.reserve(state_.goals.size());
@@ -605,7 +609,8 @@ DetachedNode Runner::materialize_as_of(const PendingChoice& c,
 
   DetachedNode d;
   std::vector<term::TermRef> out;
-  store_.compact_into_as_of(d.store, roots, out, undone);
+  copy_.clear();
+  store_.compact_into_as_of(copy_, roots, out, undone, vmap_);
   std::size_t k = 0;
   if (with_answer) d.answer = out[k++];
   const term::TermRef goal0 = out[k];
@@ -615,16 +620,17 @@ DetachedNode Runner::materialize_as_of(const PendingChoice& c,
   // guaranteed to succeed, the compacted state being the very one it
   // succeeded against.
   const db::Clause& clause = ex_.program().clause(c.clause);
-  std::unordered_map<term::TermRef, term::TermRef> cmap;
-  const term::TermRef head = d.store.import(clause.store(), clause.head(), cmap);
+  vmap_.clear();
+  const term::TermRef head = copy_.import(clause.store(), clause.head(), vmap_);
   std::vector<term::TermRef> body(clause.body().size());
   for (std::size_t i = 0; i < body.size(); ++i)
-    body[i] = d.store.import(clause.store(), clause.body()[i], cmap);
+    body[i] = copy_.import(clause.store(), clause.body()[i], vmap_);
   term::Trail scratch;
-  const bool ok = term::unify(d.store, goal0, head, scratch,
+  const bool ok = term::unify(copy_, goal0, head, scratch,
                               {.occurs_check = ex_.options().occurs_check});
   assert(ok);
   (void)ok;
+  d.store = copy_;
 
   d.goals.reserve(body.size() + pg.size() - 1);
   for (std::size_t i = 0; i < body.size(); ++i) {
@@ -660,7 +666,9 @@ Solution Runner::extract_solution(ExpandStats* stats) {
   if (answer_ != term::kNullTerm) {
     const term::TermRef roots[1] = {answer_};
     std::vector<term::TermRef> out;
-    store_.compact_into(sol.store, roots, out);
+    copy_.clear();
+    store_.compact_into(copy_, roots, out, vmap_);
+    sol.store = copy_;
     sol.answer = out[0];
     if (stats) {
       stats->cells_copied += sol.store.size();

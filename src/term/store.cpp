@@ -1,6 +1,10 @@
 #include "blog/term/store.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <functional>
+#include <utility>
 
 namespace blog::term {
 
@@ -26,8 +30,12 @@ TermRef Store::make_int(std::int64_t v) {
 
 TermRef Store::make_struct(Symbol functor, std::span<const TermRef> args) {
   assert(!args.empty() && "0-arity structures must be atoms");
+  assert((std::less<>{}(args.data(), args_.data()) ||
+          !std::less<>{}(args.data(), args_.data() + args_.size())) &&
+         "args must not alias the argument pool");
   const auto off = static_cast<std::uint32_t>(args_.size());
-  args_.insert(args_.end(), args.begin(), args.end());
+  args_.resize(off + args.size());
+  std::copy(args.begin(), args.end(), args_.begin() + off);
   const auto idx = static_cast<TermRef>(cells_.size());
   cells_.push_back(Cell{Tag::Struct, functor.id(), off,
                         static_cast<std::uint32_t>(args.size())});
@@ -48,51 +56,147 @@ TermRef Store::deref(TermRef t) const {
   return t;
 }
 
-namespace {
-
-/// deref that treats any variable in `undone` as unbound: its binding was
-/// made after the checkpoint being reconstructed. nullptr = plain deref.
-TermRef deref_maybe_as_of(const Store& s, TermRef t,
-                          const std::unordered_set<TermRef>* undone) {
-  while (s.is_var(t) && !s.is_unbound(t) &&
-         (undone == nullptr || !undone->contains(t)))
-    t = s.cell(t).a;
-  return t;
+const TermRef* VarMap::find(TermRef key) const {
+  if (slots_.empty()) return nullptr;
+  for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+    const Slot& s = slots_[i];
+    if (s.stamp != stamp_) return nullptr;
+    if (s.key == key) return &s.value;
+  }
 }
 
-/// The one import traversal, shared by the live view (undone == nullptr)
-/// and the checkpoint as-of view.
-TermRef import_impl(Store& dst, const Store& src, TermRef t,
-                    std::unordered_map<TermRef, TermRef>& var_map,
-                    const std::unordered_set<TermRef>* undone) {
-  t = deref_maybe_as_of(src, t, undone);
-  const Cell& c = src.cell(t);
-  switch (c.tag) {
-    case Tag::Var: {
-      if (auto it = var_map.find(t); it != var_map.end()) return it->second;
-      const TermRef v = dst.make_var(Symbol{c.b});
-      var_map.emplace(t, v);
-      return v;
-    }
-    case Tag::Atom:
-      return dst.make_atom(Symbol{c.a});
-    case Tag::Int:
-      return dst.make_int(src.int_value(t));
-    case Tag::Struct: {
-      std::vector<TermRef> kids(c.c);
-      for (std::uint32_t i = 0; i < c.c; ++i)
-        kids[i] = import_impl(dst, src, src.arg(t, i), var_map, undone);
-      return dst.make_struct(Symbol{c.a}, kids);
-    }
+void VarMap::clear() {
+  size_ = 0;
+  if (++stamp_ != 0) return;
+  // Wrapped: a stale slot could now carry the current stamp. Reset them all.
+  for (Slot& s : slots_) s.stamp = 0;
+  stamp_ = 1;
+}
+
+void VarMap::grow() {
+  const std::size_t cap = slots_.empty() ? 16 : slots_.size() * 2;
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(cap));
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(cap));
+  const Stamp live = stamp_;
+  stamp_ = 1;
+  size_ = 0;
+  for (const Slot& s : old)
+    if (s.stamp == live) (*this)[s.key] = s.value;
+}
+
+namespace {
+
+/// LIFO of trivially copyable values held in an inline buffer until it
+/// outgrows `N` entries, then on the heap: copying a shallow term
+/// allocates nothing, and a deep one is bounded only by memory.
+template <class T, std::size_t N>
+class InlineStack {
+public:
+  InlineStack() = default;
+  InlineStack(const InlineStack&) = delete;
+  InlineStack& operator=(const InlineStack&) = delete;
+
+  void push(const T& v) {
+    if (size_ == cap_) spill();
+    data_[size_++] = v;
   }
-  return kNullTerm;  // unreachable
+  [[nodiscard]] T& back() { return data_[size_ - 1]; }
+  [[nodiscard]] const T* data() const { return data_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  void shrink_to(std::size_t n) { size_ = n; }
+
+private:
+  void spill() {
+    if (data_ == inline_) heap_.assign(inline_, inline_ + size_);
+    cap_ *= 2;
+    heap_.resize(cap_);
+    data_ = heap_.data();
+  }
+
+  T inline_[N];  // left uninitialized: only entries below size_ are read
+  T* data_ = inline_;
+  std::size_t size_ = 0;
+  std::size_t cap_ = N;
+  std::vector<T> heap_;
+};
+
+/// The one import traversal, shared by the live view and (kAsOf) the
+/// checkpoint view, in which any variable in `undone` counts as unbound:
+/// its binding was made after the checkpoint being reconstructed. An
+/// explicit stack replaces recursion but keeps the recursive walk's
+/// post-order layout: a structure's arguments are copied left to right,
+/// each completely, before its own cell.
+template <bool kAsOf>
+TermRef import_impl(Store& dst, const Store& src, TermRef root,
+                    VarMap& var_map,
+                    const std::unordered_set<TermRef>* undone) {
+  // Follows bindings from `t` (updated in place) and returns its cell.
+  auto resolve = [&](TermRef& t) -> const Cell& {
+    for (;;) {
+      const Cell& c = src.cell(t);
+      if (c.tag != Tag::Var || c.a == t) return c;
+      if constexpr (kAsOf) {
+        if (undone->contains(t)) return c;
+      }
+      t = c.a;
+    }
+  };
+  // Copies a resolved non-structure cell.
+  auto copy_leaf = [&](TermRef t, const Cell& c) -> TermRef {
+    switch (c.tag) {
+      case Tag::Var: {
+        TermRef& v = var_map[t];
+        if (v == kNullTerm) v = dst.make_var(Symbol{c.b});
+        return v;
+      }
+      case Tag::Atom:
+        return dst.make_atom(Symbol{c.a});
+      case Tag::Int:
+        return dst.make_int(src.int_value(t));
+      case Tag::Struct:
+        break;
+    }
+    return kNullTerm;  // unreachable
+  };
+
+  const Cell& rc = resolve(root);
+  if (rc.tag != Tag::Struct) return copy_leaf(root, rc);
+
+  struct Frame {
+    const TermRef* args;   // source arguments of the structure
+    std::uint32_t arity;
+    std::uint32_t functor;
+    std::uint32_t next;    // next argument to copy
+    std::uint32_t base;    // where its copied arguments start in `done`
+  };
+  InlineStack<Frame, 32> open;
+  InlineStack<TermRef, 64> done;  // copied arguments of the open frames
+  open.push({src.args(root).data(), rc.c, rc.a, 0, 0});
+  for (;;) {
+    Frame& f = open.back();
+    if (f.next < f.arity) {
+      TermRef a = f.args[f.next++];
+      const Cell& ac = resolve(a);
+      if (ac.tag == Tag::Struct)
+        open.push({src.args(a).data(), ac.c, ac.a, 0,
+                   static_cast<std::uint32_t>(done.size())});
+      else
+        done.push(copy_leaf(a, ac));
+      continue;
+    }
+    const TermRef copy =
+        dst.make_struct(Symbol{f.functor}, {done.data() + f.base, f.arity});
+    done.shrink_to(f.base);
+    open.shrink_to(open.size() - 1);
+    if (open.size() == 0) return copy;
+    done.push(copy);
+  }
 }
 
 }  // namespace
 
-TermRef Store::import(const Store& src, TermRef t,
-                      std::unordered_map<TermRef, TermRef>& var_map) {
-  return import_impl(*this, src, t, var_map, nullptr);
+TermRef Store::import(const Store& src, TermRef t, VarMap& var_map) {
+  return import_impl<false>(*this, src, t, var_map, nullptr);
 }
 
 void Store::truncate(const Watermark& m) {
@@ -102,20 +206,21 @@ void Store::truncate(const Watermark& m) {
 }
 
 void Store::compact_into(Store& dst, std::span<const TermRef> roots,
-                         std::vector<TermRef>& out) const {
-  std::unordered_map<TermRef, TermRef> var_map;
+                         std::vector<TermRef>& out, VarMap& var_map) const {
+  var_map.clear();
   out.reserve(out.size() + roots.size());
   for (const TermRef r : roots) out.push_back(dst.import(*this, r, var_map));
 }
 
 void Store::compact_into_as_of(Store& dst, std::span<const TermRef> roots,
                                std::vector<TermRef>& out,
-                               const std::unordered_set<TermRef>& undone) const {
-  if (undone.empty()) return compact_into(dst, roots, out);
-  std::unordered_map<TermRef, TermRef> var_map;
+                               const std::unordered_set<TermRef>& undone,
+                               VarMap& var_map) const {
+  if (undone.empty()) return compact_into(dst, roots, out, var_map);
+  var_map.clear();
   out.reserve(out.size() + roots.size());
   for (const TermRef r : roots)
-    out.push_back(import_impl(dst, *this, r, var_map, &undone));
+    out.push_back(import_impl<true>(dst, *this, r, var_map, &undone));
 }
 
 bool Store::equal(const Store& sa, TermRef a, const Store& sb, TermRef b) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "blog/engine/builtins.hpp"
 #include "blog/engine/interpreter.hpp"
 #include "blog/search/engine.hpp"
@@ -178,6 +180,45 @@ TEST(Search, BuiltinComparisonFiltersSolutions) {
   EXPECT_EQ(engine::solution_texts(r), (std::vector<std::string>{"X=3", "X=4"}));
 }
 
+// A small weighted route graph. Session weights put each edge's cost on
+// every pointer into its fact and zero on the route pointers, so a chain's
+// bound is the cost of its path so far and best-first must return the
+// routes cheapest first, equal costs in generation order.
+TEST(Search, InPlaceBestFirstRouteOrderIsPinned) {
+  Interpreter ip;
+  ip.consult_string(R"(
+route(S,T,[S,T],C) :- edge(S,T,C).
+route(S,T,[S|P],C) :- edge(S,M,C1), route(M,T,P,C2), C is C1+C2.
+edge(a,b,1). edge(a,c,4). edge(a,e,2).
+edge(b,d,5). edge(b,c,1). edge(c,d,1).
+edge(e,d,4). edge(e,c,2).
+)");
+  db::WeightStore& ws = ip.weights();
+  for (const db::ClauseId route : {0u, 1u}) {
+    ws.set_session(db::PointerKey{db::kQueryClause, 0, route}, 0.0);
+    ws.set_session(db::PointerKey{1, 1, route}, 0.0);  // the recursive call
+  }
+  const double cost[] = {1, 4, 2, 5, 1, 1, 4, 2};  // edge clauses 2..9
+  for (db::ClauseId e = 2; e < 10; ++e)
+    for (const db::ClauseId caller : {0u, 1u})
+      ws.set_session(db::PointerKey{caller, 0, e}, cost[e - 2]);
+
+  SearchEngine engine(ip.program(), ip.weights(), &ip.builtins());
+  SearchOptions o = opt(Strategy::BestFirst);
+  o.update_weights = false;
+  const SearchResult r = engine.solve(ip.parse_query("route(a,d,P,C)"), o);
+  std::vector<std::string> texts;  // discovery order, not sorted
+  for (const Solution& sol : r.solutions) texts.push_back(sol.text);
+  EXPECT_EQ(texts,
+            (std::vector<std::string>{
+                "P=[a,b,c,d],C=3", "P=[a,c,d],C=5", "P=[a,e,c,d],C=5",
+                "P=[a,b,d],C=6", "P=[a,e,d],C=6"}));
+  EXPECT_EQ(r.outcome, Outcome::Exhausted);
+  // The same search, node for node and cell for cell.
+  EXPECT_EQ(r.stats.nodes_expanded, 38u);
+  EXPECT_EQ(r.stats.expand.cells_copied, 626u);
+}
+
 // --------------------------------------------------------------- frontier --
 
 TEST(Frontier, BestFirstPopsLowestBound) {
@@ -215,6 +256,42 @@ TEST(Frontier, PruneAboveDropsHighBounds) {
   EXPECT_EQ(f.prune_above(2.5), 2u);
   EXPECT_EQ(f.size(), 2u);
   EXPECT_DOUBLE_EQ(f.min_bound(), 1.0);
+}
+
+// Nodes live in slab slots the heap keys point at: popping and pruning
+// free slots, later pushes reuse them, and the pop order stays (bound,
+// insertion order) throughout — equal bounds FIFO even across reused slots.
+TEST(Frontier, BestFirstReusesSlotsAndKeepsOrder) {
+  BestFirstFrontier f;
+  std::uint64_t next_id = 0;
+  auto push = [&](double bound) {
+    Node n;
+    n.bound = bound;
+    n.id = ++next_id;
+    n.store.make_atom("payload");  // a node that owns cells
+    f.push(std::move(n));
+  };
+  for (const double b : {4.0, 2.0, 9.0, 2.0, 7.0}) push(b);  // ids 1..5
+  Node first = f.pop();
+  EXPECT_EQ(first.id, 2u);
+  EXPECT_EQ(first.store.size(), 1u);  // the node moved out whole
+  EXPECT_EQ(f.pop().id, 4u);          // tie at 2.0: FIFO
+  EXPECT_EQ(f.prune_above(5.0), 2u);  // ids 3 (9.0) and 5 (7.0)
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_DOUBLE_EQ(f.min_bound(), 4.0);
+  // Four slots are free: these pushes land in them (and one new slot), and
+  // each node must still come back whole, in (bound, seq) order.
+  for (const double b : {4.0, 1.0, 4.0, 6.0, 4.0}) push(b);  // ids 6..10
+  std::vector<std::pair<double, std::uint64_t>> order;
+  while (!f.empty()) {
+    Node n = f.pop();
+    EXPECT_EQ(n.store.size(), 1u);
+    order.emplace_back(n.bound, n.id);
+  }
+  const std::vector<std::pair<double, std::uint64_t>> expect = {
+      {1.0, 7}, {4.0, 1}, {4.0, 6}, {4.0, 8}, {4.0, 10}, {6.0, 9}};
+  EXPECT_EQ(order, expect);
+  EXPECT_EQ(f.min_bound(), std::numeric_limits<double>::infinity());
 }
 
 TEST(Frontier, DepthFirstIsLifo) {

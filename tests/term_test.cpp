@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <unordered_set>
+
 #include "blog/term/reader.hpp"
 #include "blog/term/store.hpp"
 #include "blog/term/unify.hpp"
@@ -54,7 +57,7 @@ TEST(Store, UnbindRestoresVar) {
 TEST(Store, ImportCopiesStructure) {
   Store src, dst;
   const TermRef t = parse(src, "f(a,g(B,B),3)");
-  std::unordered_map<TermRef, TermRef> vmap;
+  VarMap vmap;
   const TermRef u = dst.import(src, t, vmap);
   EXPECT_EQ(to_string(dst, u), to_string(src, t));
   // shared variable B maps to a single fresh var
@@ -67,9 +70,168 @@ TEST(Store, ImportDereferencesBindings) {
   const TermRef x = src.deref(src.arg(src.deref(t), 0));
   Trail trail;
   ASSERT_TRUE(unify(src, x, src.make_atom("hello"), trail));
-  std::unordered_map<TermRef, TermRef> vmap;
+  VarMap vmap;
   const TermRef u = dst.import(src, t, vmap);
   EXPECT_EQ(to_string(dst, u), "f(hello)");
+}
+
+TEST(Store, CompactIntoSharesVariablesAcrossRoots) {
+  Store src, dst;
+  const TermRef t = parse(src, "p(f(X,Y),g(Y),X)");
+  const std::span<const TermRef> roots = src.args(src.deref(t));
+  VarMap vmap;
+  std::vector<TermRef> out;
+  src.compact_into(dst, roots, out, vmap);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(vmap.size(), 2u);
+  // f(X,Y) is laid out post-order (X, Y, f), then g(Y) reuses Y and the
+  // third root is X itself: four cells.
+  EXPECT_EQ(dst.size(), 4u);
+  EXPECT_EQ(dst.deref(dst.arg(out[0], 1)), dst.deref(dst.arg(out[1], 0)));
+  EXPECT_EQ(dst.deref(out[2]), dst.deref(dst.arg(out[0], 0)));
+}
+
+// A 1M-deep f(f(...f(X)...)) — far past any call stack — copies without
+// recursion through every entry point, keeping the post-order layout
+// (innermost cell first, root last).
+TEST(Store, CopiesMillionDeepTermIteratively) {
+  constexpr std::size_t kDepth = 1'000'000;
+  Store src;
+  Trail trail;
+  const TermRef x = src.make_var();
+  const Symbol f = intern("f");
+  TermRef t = x;
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    const TermRef arg[1] = {t};
+    t = src.make_struct(f, arg);
+  }
+  // Walks the copy down to its innermost argument, checking every level.
+  auto innermost = [&](const Store& s, TermRef r) {
+    for (std::size_t i = 0; i < kDepth; ++i) {
+      r = s.deref(r);
+      EXPECT_TRUE(s.is_struct(r) && s.functor(r) == f && s.arity(r) == 1);
+      if (!s.is_struct(r)) return kNullTerm;
+      r = s.arg(r, 0);
+    }
+    return s.deref(r);
+  };
+
+  Store imported;
+  VarMap vmap;
+  const TermRef u = imported.import(src, t, vmap);
+  EXPECT_EQ(imported.size(), kDepth + 1);
+  EXPECT_EQ(u, kDepth);  // root last
+  EXPECT_EQ(innermost(imported, u), 0u);  // innermost first
+
+  // Live view: X bound after a checkpoint shows through the copy.
+  const Checkpoint cp = checkpoint(src, trail);
+  ASSERT_TRUE(unify(src, x, src.make_atom("leaf"), trail));
+  const TermRef roots[2] = {t, x};
+  Store live;
+  std::vector<TermRef> out;
+  src.compact_into(live, roots, out, vmap);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(live.size(), kDepth + 2);
+  EXPECT_TRUE(live.is_atom(innermost(live, out[0])));
+  EXPECT_TRUE(live.is_atom(out[1]));
+
+  // As-of view: the same binding counts as undone, so X is a variable
+  // shared by both roots again.
+  const std::unordered_set<TermRef> undone(
+      trail.entries_since(cp.trail).begin(), trail.entries_since(cp.trail).end());
+  ASSERT_EQ(undone.size(), 1u);
+  Store as_of;
+  out.clear();
+  src.compact_into_as_of(as_of, roots, out, undone, vmap);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(as_of.size(), kDepth + 1);
+  const TermRef leaf = innermost(as_of, out[0]);
+  EXPECT_TRUE(as_of.is_unbound(leaf));
+  EXPECT_EQ(as_of.deref(out[1]), leaf);
+}
+
+// -------------------------------------------------------------- var map --
+
+TEST(VarMap, InsertFindAndOverwrite) {
+  VarMap m;
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.find(3), nullptr);
+  EXPECT_EQ(m[3], kNullTerm);  // inserted, no value yet
+  m[3] = 30;
+  m[3] = 31;
+  EXPECT_EQ(m.size(), 1u);
+  ASSERT_NE(m.find(3), nullptr);
+  EXPECT_EQ(*m.find(3), 31u);
+}
+
+// Thousands of keys at most half-filling the table force long probe
+// chains (dense runs and strided keys alike); every present key must be
+// found along its chain and every absent key must stop at a free slot.
+TEST(VarMap, CollisionChainsResolve) {
+  VarMap m;
+  constexpr TermRef kN = 2000;
+  for (TermRef k = 0; k < kN; ++k) {
+    m[k] = k + 1;                 // dense: consecutive cell indices
+    m[(k + kN) * 4096] = k + 2;   // strided: multiples of a power of two
+  }
+  EXPECT_EQ(m.size(), 2 * std::size_t{kN});
+  for (TermRef k = 0; k < kN; ++k) {
+    ASSERT_NE(m.find(k), nullptr);
+    EXPECT_EQ(*m.find(k), k + 1);
+    ASSERT_NE(m.find((k + kN) * 4096), nullptr);
+    EXPECT_EQ(*m.find((k + kN) * 4096), k + 2);
+    EXPECT_EQ(m.find(k + kN), nullptr);
+    EXPECT_EQ(m.find((k + kN) * 4096 + 1), nullptr);
+  }
+}
+
+TEST(VarMap, GrowthKeepsEveryEntry) {
+  VarMap m;
+  for (TermRef k = 0; k < 300; ++k) {
+    m[k * 7] = k;
+    ASSERT_EQ(m.size(), k + 1u);
+    for (TermRef j = 0; j <= k; ++j) {
+      const TermRef* v = m.find(j * 7);
+      ASSERT_NE(v, nullptr) << "lost key " << j * 7 << " after " << k;
+      ASSERT_EQ(*v, j);
+    }
+  }
+}
+
+TEST(VarMap, ClearForgetsAndReuses) {
+  VarMap m;
+  for (TermRef k = 0; k < 100; ++k) m[k] = k;
+  m.clear();
+  EXPECT_EQ(m.size(), 0u);
+  for (TermRef k = 0; k < 100; ++k) EXPECT_EQ(m.find(k), nullptr);
+  EXPECT_EQ(m[42], kNullTerm);  // fresh, not the stale 42
+  m[42] = 7;
+  m[1000] = 8;
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_EQ(*m.find(42), 7u);
+  EXPECT_EQ(*m.find(1000), 8u);
+  EXPECT_EQ(m.find(41), nullptr);
+}
+
+// The generation stamp wraps after Stamp's range of clears; a stale slot
+// must never come back to life, neither the one written in the first
+// generation nor a never-used one (stamp 0).
+TEST(VarMap, GenerationWrapKeepsStaleSlotsDead) {
+  VarMap m;
+  m[7] = 70;  // stamped with the first generation
+  constexpr std::size_t kClears =
+      std::size_t{std::numeric_limits<VarMap::Stamp>::max()} + 3;
+  for (std::size_t i = 0; i < kClears; ++i) {
+    m.clear();
+    ASSERT_EQ(m.find(7), nullptr) << "after " << i + 1 << " clears";
+    ASSERT_EQ(m.find(0), nullptr) << "after " << i + 1 << " clears";
+    ASSERT_EQ(m.size(), 0u);
+    m[1000 + static_cast<TermRef>(i % 5)] = 1;  // stamp a few other slots
+  }
+  m.clear();
+  m[7] = 71;
+  EXPECT_EQ(*m.find(7), 71u);
+  EXPECT_EQ(m.size(), 1u);
 }
 
 TEST(Store, ReachableCellsCountsTree) {
