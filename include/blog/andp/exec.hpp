@@ -33,9 +33,9 @@ struct AndParallelOptions {
   /// run-time scan, or no forking at all.
   ForkMode fork = ForkMode::Static;
   unsigned workers = 4;  ///< scheduler worker threads
-  /// When set, the conjunction runs as one job (with forked child roots)
-  /// on this persistent pool instead of spawning its own workers; `workers`
-  /// becomes the job's slot request.
+  /// The conjunction runs as one job (with forked child roots) on this
+  /// persistent pool when set, else on a pool of `workers` threads made
+  /// for the call; `workers` is the job's slot request either way.
   parallel::Executor* executor = nullptr;
 };
 

@@ -2,6 +2,10 @@
 /// \brief Thread-parallel B-LOG search (§6's machine behaviour on real
 /// threads).
 ///
+/// ParallelEngine is a thin client of the persistent worker pool
+/// (executor.hpp): every solve is one pool job, so the engine starts no
+/// threads of its own.
+///
 /// Each worker is a "processor" running chains *in place* in a worker-local
 /// store (a search::Runner): expanding a chain trails its bindings and
 /// parks the untried alternatives as lightweight pending choices, so no
@@ -14,19 +18,22 @@
 /// acquire the remote chain instead.
 #pragma once
 
+#include <memory>
 #include <span>
-#include <thread>
 
 #include "blog/engine/interpreter.hpp"
 #include "blog/parallel/scheduler.hpp"
 
 namespace blog::parallel {
 
-/// Configuration of one ParallelEngine::solve run: worker count, budgets,
-/// §6 thresholds and the scheduler's locality/adaptivity behaviour. See
-/// docs/TUNING.md for the knob-by-knob guide.
+/// Configuration of one parallel search (a ParallelEngine solve or an
+/// Executor job): worker count, budgets, §6 thresholds and the scheduler's
+/// adaptivity behaviour. See docs/TUNING.md for the knob-by-knob guide.
 struct ParallelOptions {
-  unsigned workers = 4;          ///< worker ("processor") thread count
+  /// Worker ("processor") count of a ParallelEngine solve: the private
+  /// pool's size, or the slots asked of a caller's executor. Executor jobs
+  /// ignore it (JobRequest::slots wins).
+  unsigned workers = 4;
   double d_threshold = 0.0;      ///< §6's D (bound units)
   /// Node/solution/deadline cutoffs (shared with the sequential layer).
   /// Workers check them cooperatively once per expansion; max_solutions is
@@ -51,20 +58,6 @@ struct ParallelOptions {
   /// seeds). Turn off to pin the static knobs exactly.
   bool adaptive_capacity = true;
   std::uint32_t capacity_ewma_window = 64;  ///< EWMA horizon, spill events
-  /// NUMA awareness. When the host exposes more than one node
-  /// (topology.hpp), workers are placed round-robin across nodes, their
-  /// deques are tagged with the node id, and victim scans prefer
-  /// same-node deques: a remote-node published minimum is chosen only
-  /// when it beats the best local candidate by more than
-  /// `numa_locality_bias` (bound units). Single-node hosts take the exact
-  /// pre-NUMA code path regardless of these knobs.
-  bool numa_aware = true;
-  double numa_locality_bias = 1.0;  ///< bound units a remote min must win by
-  /// Pin each worker thread to the CPUs of its assigned node (Linux,
-  /// multi-node hosts only; best effort — a refused affinity syscall is
-  /// ignored). Placement and victim bias work without pinning, but pinned
-  /// workers actually keep their deques node-local.
-  bool numa_pin_workers = true;
   /// Claim-wait mailboxes: a thief that wins a spill handle's claim CAS
   /// parks the handle in its private mailbox and keeps scanning other
   /// victims while the owner's copy is in flight, draining deposits at
@@ -85,8 +78,8 @@ struct ParallelOptions {
   std::chrono::microseconds preempt_interval{500};
   search::ExpanderOptions expander;  ///< resolution-step options
   /// Cooperative cancellation: when non-null and set, every worker stops
-  /// at its next expansion boundary and the solve returns
-  /// Outcome::Cancelled with the answers found so far. Must outlive solve.
+  /// at its next expansion boundary and the solve (or job) returns
+  /// Outcome::Cancelled with the answers found so far. Must outlive it.
   const std::atomic<bool>* cancel = nullptr;
   /// Streaming hook: called under the solution lock once per recorded
   /// answer (discovery order, deduplication is the caller's concern — the
@@ -137,25 +130,36 @@ struct ParallelResult {
   bool exhausted = false;  ///< true when the whole OR-tree was consumed
 };
 
+class Executor;
+
 /// §6's parallel machine on real threads: N workers, each an in-place
 /// Runner, exchanging work through a WorkStealingScheduler (the
-/// minimum-seeking network analogue).
+/// minimum-seeking network analogue). The workers are an Executor's pool:
+/// either the caller's or one the engine creates once and keeps.
 class ParallelEngine {
 public:
   /// Bind the engine to a program/weight store/builtin evaluator. The
-  /// referenced objects must outlive the engine.
+  /// referenced objects must outlive the engine. With `executor` null the
+  /// engine owns a private pool of `opts.workers` threads, created once
+  /// here; its preemption ticker runs only when `builtins` is non-null and
+  /// `opts.preempt_interval` is non-zero. A caller's `executor` must
+  /// outlive the engine; its pool bounds the width of each solve.
   ParallelEngine(const db::Program& program, db::WeightStore& weights,
-                 search::BuiltinEvaluator* builtins, ParallelOptions opts = {});
+                 search::BuiltinEvaluator* builtins, ParallelOptions opts = {},
+                 Executor* executor = nullptr);
+  ~ParallelEngine();
 
   /// Run one parallel search of `q` to completion (or budget/stop).
   ParallelResult solve(const search::Query& q);
 
-  /// Multi-root solve: every query in `roots` becomes one tagged root
-  /// (fork_tag = index) seeded into the *same* scheduler partition, so
-  /// sibling AND-parallel work items and the OR-alternatives inside each
-  /// are stolen by the same idle workers under one termination detector.
+  /// Multi-root solve: every query in `roots` (at least one) becomes one
+  /// tagged root (fork_tag = index) seeded into the *same* scheduler
+  /// partition, so sibling AND-parallel work items and the OR-alternatives
+  /// inside each are stolen by the same idle workers under one termination
+  /// detector.
   /// `fork_nodes` (optional, `fork_tag_count` atomics) receives per-root
-  /// expansion counts — see JobControls::fork_nodes.
+  /// expansion counts — see JobControls::fork_nodes. A job the executor
+  /// refuses (queue full, shutting down) returns Outcome::Cancelled.
   ParallelResult solve_forked(std::span<const search::Query> roots,
                               std::atomic<std::uint64_t>* fork_nodes = nullptr,
                               std::uint32_t fork_tag_count = 0);
@@ -165,6 +169,8 @@ private:
   db::WeightStore& weights_;
   search::BuiltinEvaluator* builtins_;
   ParallelOptions opts_;
+  std::unique_ptr<Executor> own_;  ///< private pool (null with a caller's)
+  Executor* executor_;
 };
 
 }  // namespace blog::parallel

@@ -1,12 +1,12 @@
 /// \file
-/// \brief Executor: the process-wide persistent worker pool.
+/// \brief Executor: the persistent worker pool, and the one place in the
+/// library that starts worker threads.
 ///
 /// §6's machine is a *standing* array of processors fed by the
-/// minimum-seeking network — but ParallelEngine::solve spawns, pins, and
-/// joins its own threads per query, so per-query overhead is thread
-/// creation, not enqueue cost. The Executor makes the processor array
-/// resident: `workers` threads are created, NUMA-placed, and pinned
-/// **once** (round-robin across the detected topology), and every query
+/// minimum-seeking network. The Executor makes that array resident:
+/// `workers` threads are created, NUMA-placed, and pinned **once**
+/// (round-robin across the detected topology), and every parallel search —
+/// a service query, an AND-parallel conjunction, a ParallelEngine solve —
 /// becomes a schedulable *job* multiplexed onto the pool.
 ///
 /// Isolation: each job owns a private WorkStealingScheduler — its partition
@@ -20,14 +20,17 @@
 /// deque, attached or not).
 ///
 /// Lifecycle: submit() never blocks — the job is queued (bounded) or
-/// refused. A JobTicket is the client handle: wait()/poll(), cancel()
-/// (cooperative: workers stop at their next expansion boundary), and
-/// streamed answers via JobRequest::on_answer. One preemption ticker
+/// refused. A JobTicket is the client handle: wait()/poll() and cancel()
+/// (cooperative: workers stop at their next expansion boundary). The
+/// request's ParallelOptions::cancel flag stops a job the same way, and
+/// ParallelOptions::on_solution streams its answers. One preemption ticker
 /// thread is shared by every job instead of one per solve.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
+#include <optional>
+#include <thread>
 
 #include "blog/obs/metrics.hpp"
 #include "blog/parallel/job.hpp"
@@ -66,8 +69,7 @@ struct JobRequest {
   search::BuiltinEvaluator* builtins = nullptr;
   search::Query query;
   /// Parallel width: scheduler slots this job asks for (clamped to the
-  /// pool size). 1 = sequential solve (SearchEngine semantics — `strategy`
-  /// applies) run on one pool worker.
+  /// pool size).
   unsigned slots = 1;
   /// AND-parallel child work items: extra root queries seeded into the
   /// job's scheduler partition alongside `query`, so one termination
@@ -80,17 +82,23 @@ struct JobRequest {
   /// caller-owned, must outlive the job) — see JobControls::fork_nodes.
   std::atomic<std::uint64_t>* fork_nodes = nullptr;
   std::uint32_t fork_tag_count = 0;
-  /// Open-list policy of a sequential (slots == 1) job; parallel jobs use
-  /// the scheduler's best-first order.
-  search::Strategy strategy = search::Strategy::BestFirst;
-  /// Limits, §6 knobs, spill/scheduler tuning, trace sink. `workers` is
-  /// ignored (`slots` wins); `cancel`/`on_solution` are owned by the
-  /// executor (use JobTicket::cancel and `on_answer`).
+  /// Open-list policy of a sequential job. A job with slots == 1, no forks
+  /// and a strategy runs on one pool worker with SearchEngine semantics;
+  /// every other job (no strategy, wider, or forked) is scheduler-backed
+  /// and uses the scheduler's best-first order.
+  std::optional<search::Strategy> strategy;
+  /// Limits, §6 knobs, spill/scheduler tuning, trace sink, and the
+  /// caller's hooks: `on_solution` is called once per recorded answer, in
+  /// discovery order, from a pool worker (under the job's solution lock
+  /// when scheduler-backed; the Solution is valid only during the call);
+  /// a set `cancel` flag stops the job with Outcome::Cancelled, like
+  /// JobTicket::cancel. `workers` is ignored (`slots` wins).
+  ///
+  /// A running sequential job checks one flag per expansion: the caller's
+  /// `cancel` when given, else the ticket's. So JobTicket::cancel stops a
+  /// sequential job that carries its own flag only while it is queued;
+  /// cancel such a job through its flag.
   ParallelOptions opts;
-  /// Streamed answers: called once per recorded answer, in discovery
-  /// order, from a pool worker under the job's solution lock. The
-  /// Solution is only valid during the call.
-  std::function<void(const search::Solution&)> on_answer;
   /// Completion callback, invoked once from a pool worker (or from
   /// cancel()/shutdown for never-started jobs) after the result is set,
   /// before waiters wake.

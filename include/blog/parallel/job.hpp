@@ -1,7 +1,6 @@
 /// \file
-/// \brief The shared per-job worker loop: one search job's per-expansion
-/// behaviour, factored out of ParallelEngine so the spawn-per-query engine
-/// and the persistent Executor pool run byte-identical searches.
+/// \brief The per-job worker loop: one search job's per-expansion
+/// behaviour, run by the Executor's pool workers (executor.hpp).
 ///
 /// A *job* is one query's OR-search: a WorkStealingScheduler (its private
 /// partition of the minimum-seeking network — two jobs' chains can never
@@ -42,7 +41,9 @@ struct JobControls {
   std::atomic<int> stop_cause{-1};
   /// Wall-clock cutoff (steady clock); epoch = none.
   std::chrono::steady_clock::time_point deadline{};
-  /// Cooperative cancel flag (may be null). Checked once per expansion.
+  /// The caller's cancel flag (may be null: then the check costs one
+  /// branch). Checked once per expansion; JobTicket::cancel stops the
+  /// scheduler instead, so it needs no flag here.
   const std::atomic<bool>* cancel = nullptr;
   /// Raised by any worker whose branch was cut at the depth limit: an
   /// emptied partition then reports DepthLimited, not Exhausted.
@@ -87,16 +88,6 @@ struct JobControls {
   }
 };
 
-/// Build one job from `opts`: the one place ParallelEngine and the
-/// Executor translate options into a job. Returns the job's scheduler
-/// partition with `slots` deques (NUMA-tagged only when `numa_aware`),
-/// fills `cfg` with the worker loop's knobs and arms `ctl`'s cutoffs with
-/// `cancel` as the cancel flag. Roots, the answer hook and fork
-/// attribution stay with the caller.
-std::unique_ptr<WorkStealingScheduler> prepare_job(
-    const ParallelOptions& opts, unsigned slots, bool numa_aware,
-    const std::atomic<bool>* cancel, JobControls& ctl, JobConfig& cfg);
-
 /// Record `o` as the job's stop cause unless one is already set (first
 /// reporter wins; later reporters keep the original).
 void report_stop(std::atomic<int>& cause, search::Outcome o);
@@ -104,9 +95,8 @@ void report_stop(std::atomic<int>& cause, search::Outcome o);
 /// Run one worker against one job until the job terminates or stops.
 ///
 /// `slot` is the worker's index *within the job's scheduler* (0..slots-1);
-/// `lane` is the flight-recorder lane (the pool worker id under the
-/// Executor, == slot under ParallelEngine). `preempt_epoch` may be null
-/// (no mid-burst preemption). Reentrant: many workers may run this
+/// `lane` is the flight-recorder lane (the pool worker id).
+/// `preempt_epoch` may be null (no mid-burst preemption). Reentrant: many workers may run this
 /// concurrently against the same JobControls/scheduler, each with a
 /// distinct slot.
 void run_job_worker(const search::Expander& expander, db::WeightStore& weights,

@@ -24,13 +24,12 @@
 /// topology-aware machine (see docs/ARCHITECTURE.md for the protocol
 /// walk-through):
 ///
-///   - **NUMA-aware victim choice.** Every deque is tagged with the NUMA
-///     node its worker is placed on (round-robin over the detected
-///     topology, topology.hpp). Victim scans prefer the minimum-holding
-///     deque on the scanner's own node and cross the interconnect only
-///     when a remote minimum beats the best local one by more than a
-///     configurable locality bias. Single-node hosts take the exact
-///     pre-NUMA scan.
+///   - **NUMA-aware victim choice.** A deque may be tagged with a NUMA
+///     node (SchedulerTuning::worker_nodes). Victim scans prefer the
+///     minimum-holding deque on the scanner's own node and cross the
+///     interconnect only when a remote minimum beats the best local one by
+///     more than a configurable locality bias. Untagged deques (every job
+///     the Executor runs) take the plain minimum scan.
 ///   - **Claim-wait mailboxes.** A thief that wins a handle's claim CAS
 ///     never waits for the owner to deposit the copy: the claimed handle
 ///     is parked in the thief's private mailbox and the thief keeps
@@ -115,12 +114,9 @@ struct SchedulerTuning {
   std::size_t min_capacity = 4;     ///< adaptive lower bound
   std::size_t max_capacity = 512;   ///< adaptive upper bound
   std::size_t local_capacity_seed = 8;  ///< engine local_capacity seed
-  /// Use the detected host topology (topology.hpp) to tag deques with
-  /// NUMA node ids and bias victim scans toward same-node deques. On a
-  /// single-node host this is a no-op regardless of the flag.
-  bool numa_aware = true;
-  /// Explicit worker→node assignment (tests, custom placement). Empty =
-  /// round-robin over Topology::system() when `numa_aware`, else all 0.
+  /// Explicit worker→node assignment that tags deques with NUMA node ids
+  /// and biases victim scans toward same-node deques (tests, custom
+  /// placement). Empty = every deque on node 0: the plain minimum scan.
   std::vector<std::uint32_t> worker_nodes;
   /// Bound units a *remote-node* published minimum must beat the best
   /// same-node candidate by before a scan crosses the interconnect.

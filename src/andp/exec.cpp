@@ -167,42 +167,18 @@ void solve_unified(engine::Interpreter& ip, const term::Store& store,
   popts.expander = opts.search.expander;
   popts.cancel = opts.search.cancel;
   popts.trace = trace;
+  popts.on_solution = sink;
 
-  parallel::ParallelResult pr;
-  if (opts.executor != nullptr) {
-    // One pool job whose partition holds every forked root: items[0] is
-    // the job's query (fork_tag 0), the rest ride as child work items.
-    parallel::JobRequest req;
-    req.program = &ip.program();
-    req.weights = &ip.weights();
-    req.builtins = &ip.builtins();
-    req.slots = popts.workers;
-    req.opts = popts;
-    req.query = std::move(plan.items[0].query);
-    req.forks.reserve(n_items - 1);
-    for (std::size_t i = 1; i < n_items; ++i)
-      req.forks.push_back(std::move(plan.items[i].query));
-    req.fork_nodes = fork_nodes.data();
-    req.fork_tag_count = static_cast<std::uint32_t>(n_items);
-    req.on_answer = sink;
-    const parallel::JobTicket ticket = opts.executor->submit(std::move(req));
-    if (!ticket.valid()) {
-      // Pool refused (queue full): honest refusal, no partial answers.
-      out.outcome = search::Outcome::Cancelled;
-      jn.mark_incomplete();
-    } else {
-      pr = ticket.wait();
-    }
-  } else {
-    popts.on_solution = sink;
-    std::vector<search::Query> roots;
-    roots.reserve(n_items);
-    for (WorkItem& item : plan.items) roots.push_back(std::move(item.query));
-    parallel::ParallelEngine eng(ip.program(), ip.weights(), &ip.builtins(),
-                                 popts);
-    pr = eng.solve_forked(roots, fork_nodes.data(),
-                          static_cast<std::uint32_t>(n_items));
-  }
+  // One job whose partition holds every forked root (on the caller's pool
+  // when one is given): items[0] is the job's query (fork_tag 0), the rest
+  // ride as child work items.
+  std::vector<search::Query> roots;
+  roots.reserve(n_items);
+  for (WorkItem& item : plan.items) roots.push_back(std::move(item.query));
+  parallel::ParallelEngine eng(ip.program(), ip.weights(), &ip.builtins(),
+                               std::move(popts), opts.executor);
+  const parallel::ParallelResult pr = eng.solve_forked(
+      roots, fork_nodes.data(), static_cast<std::uint32_t>(n_items));
   if (out.outcome == search::Outcome::Exhausted) out.outcome = pr.outcome;
   out.steals = pr.network.steals;
   for (const parallel::WorkerStats& w : pr.workers) {

@@ -1,14 +1,33 @@
 #include "blog/parallel/engine.hpp"
 
-#include "blog/parallel/job.hpp"
-#include "blog/parallel/topology.hpp"
+#include <algorithm>
+
+#include "blog/parallel/executor.hpp"
 
 namespace blog::parallel {
 
 ParallelEngine::ParallelEngine(const db::Program& program, db::WeightStore& weights,
                                search::BuiltinEvaluator* builtins,
-                               ParallelOptions opts)
-    : program_(program), weights_(weights), builtins_(builtins), opts_(opts) {}
+                               ParallelOptions opts, Executor* executor)
+    : program_(program),
+      weights_(weights),
+      builtins_(builtins),
+      opts_(std::move(opts)),
+      executor_(executor) {
+  if (executor_ == nullptr) {
+    // Preemption can only trigger inside builtin bursts, so a program with
+    // no builtin evaluator never pays the ticker thread.
+    ExecutorOptions eo;
+    eo.workers = std::max(1u, opts_.workers);
+    eo.preempt_interval = builtins_ != nullptr
+                              ? opts_.preempt_interval
+                              : std::chrono::microseconds(0);
+    own_ = std::make_unique<Executor>(eo);
+    executor_ = own_.get();
+  }
+}
+
+ParallelEngine::~ParallelEngine() = default;
 
 ParallelResult ParallelEngine::solve(const search::Query& q) {
   return solve_forked({&q, 1});
@@ -17,75 +36,26 @@ ParallelResult ParallelEngine::solve(const search::Query& q) {
 ParallelResult ParallelEngine::solve_forked(
     std::span<const search::Query> roots,
     std::atomic<std::uint64_t>* fork_nodes, std::uint32_t fork_tag_count) {
-  search::Expander expander(program_, weights_, builtins_, opts_.expander);
-  ParallelResult result;
-  result.workers.resize(opts_.workers);
-  JobControls ctl;
-  JobConfig cfg;
-  const std::unique_ptr<WorkStealingScheduler> net = prepare_job(
-      opts_, opts_.workers, opts_.numa_aware, opts_.cancel, ctl, cfg);
-  ctl.on_solution = opts_.on_solution;
-  ctl.fork_nodes = fork_nodes;
-  ctl.fork_tag_count = fork_tag_count;
-  // Every root enters the same partition; push_root bumps the scheduler's
-  // outstanding-work counter per call, so one termination detector covers
-  // all forked subtrees.
-  for (std::size_t i = 0; i < roots.size(); ++i) {
-    search::DetachedNode root = expander.make_root(roots[i]);
-    root.fork_tag = static_cast<std::uint32_t>(i);
-    net->push_root(std::move(root));
+  // One job whose partition holds every root: roots[0] is the job's query
+  // (fork_tag 0), the rest ride as forked work items. No strategy is set,
+  // so even a one-worker solve runs on the scheduler.
+  JobRequest req;
+  req.program = &program_;
+  req.weights = &weights_;
+  req.builtins = builtins_;
+  req.query = roots[0];
+  req.forks.assign(roots.begin() + 1, roots.end());
+  req.fork_nodes = fork_nodes;
+  req.fork_tag_count = fork_tag_count;
+  req.slots = std::max(1u, opts_.workers);
+  req.opts = opts_;
+  const JobTicket ticket = executor_->submit(std::move(req));
+  if (!ticket.valid()) {
+    ParallelResult refused;
+    refused.outcome = search::Outcome::Cancelled;
+    return refused;
   }
-  // Worker→node placement mirrors the scheduler's deque tagging (both
-  // derive it round-robin from the same detected topology); single-node
-  // hosts skip placement and pinning entirely.
-  const Topology& topo = Topology::system();
-  const bool multi_node = opts_.numa_aware && !topo.single_node();
-
-  // Preemption ticker: bump an epoch every preempt_interval so runners
-  // yield out of long builtin bursts for a mid-burst D-threshold check.
-  std::atomic<std::uint64_t> preempt_epoch{0};
-  std::atomic<bool> ticker_stop{false};
-  std::thread ticker;
-  // Preemption can only trigger inside builtin bursts, so a program with
-  // no builtin evaluator never pays the ticker thread (one extra thread
-  // per solve otherwise — noticeable only against very short queries).
-  const bool tick =
-      opts_.preempt_interval.count() > 0 && builtins_ != nullptr;
-  if (tick) {
-    ticker = std::thread([&] {
-      while (!ticker_stop.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(opts_.preempt_interval);
-        preempt_epoch.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-
-  std::vector<std::thread> threads;
-  threads.reserve(opts_.workers);
-  for (unsigned w = 0; w < opts_.workers; ++w) {
-    threads.emplace_back([&, w] {
-      if (multi_node) {
-        const unsigned node = topo.node_of_worker(w);
-        result.workers[w].numa_node = node;
-        if (opts_.numa_pin_workers) pin_current_thread_to_node(topo, node);
-      }
-      run_job_worker(expander, weights_, *net, w,
-                     static_cast<std::uint16_t>(w), result.workers[w], cfg,
-                     ctl, tick ? &preempt_epoch : nullptr);
-    });
-  }
-  for (auto& t : threads) t.join();
-  if (tick) {
-    ticker_stop.store(true, std::memory_order_relaxed);
-    ticker.join();
-  }
-
-  result.solutions = std::move(ctl.solutions);
-  result.network = net->stats();
-  result.exhausted = !net->stopped();
-  result.outcome = ctl.outcome(result.exhausted);
-  for (const auto& ws : result.workers) result.nodes_expanded += ws.expanded;
-  return result;
+  return ticket.wait();
 }
 
 }  // namespace blog::parallel

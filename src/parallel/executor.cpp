@@ -1,6 +1,7 @@
 #include "blog/parallel/executor.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "blog/parallel/topology.hpp"
 #include "blog/search/engine.hpp"
@@ -17,10 +18,10 @@ struct JobState {
   JobRequest req;
   unsigned slots = 1;
 
-  // Parallel machinery (slots > 1 or forked roots). The expander binds the request's
-  // program/weights/builtins; the scheduler is this job's partition of the
-  // minimum-seeking network (its outstanding-work counter is the per-job
-  // termination detector).
+  // Scheduler machinery (every job but a sequential one). The expander
+  // binds the request's program/weights/builtins; the scheduler is this
+  // job's partition of the minimum-seeking network (its outstanding-work
+  // counter is the per-job termination detector).
   std::unique_ptr<search::Expander> expander;
   std::unique_ptr<WorkStealingScheduler> net;
   JobControls ctl;
@@ -35,7 +36,7 @@ struct JobState {
   unsigned exited = 0;   ///< attached workers that returned
   bool in_queue = false;
 
-  // Sequential (slots == 1) result, written by the sole attached worker
+  // Sequential job's result, written by the sole attached worker
   // before it finalizes.
   ParallelResult seq_result;
 
@@ -149,31 +150,42 @@ JobTicket Executor::submit(JobRequest req) {
                    ? &preempt_epoch_
                    : nullptr;
 
-  // A job is scheduler-backed when it wants parallel width OR carries
+  // A job runs sequentially only when it asks for one slot, carries no
   // AND-parallel child work items (forked roots need the partition's
-  // termination detector even at slots == 1).
-  if (job->slots > 1 || !r.forks.empty()) {
+  // termination detector) and names a strategy; every other job is
+  // scheduler-backed.
+  if (job->slots > 1 || !r.forks.empty() || !r.strategy) {
     job->expander = std::make_unique<search::Expander>(
         *r.program, *r.weights, r.builtins, r.opts.expander);
     // Per-job schedulers run node-agnostic: the slot→pool-worker binding
     // is dynamic, so tagging a slot's deque with a topology node would
     // claim a locality the attachment order cannot guarantee. The pool
     // threads themselves are NUMA-placed and pinned once at startup.
-    job->net = prepare_job(r.opts, job->slots, /*numa_aware=*/false,
-                           &job->cancel_flag, job->ctl, job->cfg);
+    const ParallelOptions& o = r.opts;
+    SchedulerTuning tuning;
+    tuning.adaptive = o.adaptive_capacity;
+    tuning.ewma_window = o.capacity_ewma_window;
+    tuning.local_capacity_seed = o.local_capacity;
+    tuning.mailbox_claim_limit = o.mailbox_claim_limit;  // scheduler clamps
+    tuning.stale_refresh_us =
+        static_cast<std::uint32_t>(std::clamp<std::int64_t>(
+            o.stale_refresh_interval.count(), 0,
+            std::numeric_limits<std::uint32_t>::max()));
+    tuning.trace = o.trace;
+    job->net = std::make_unique<WorkStealingScheduler>(
+        job->slots, o.steal_deque_capacity, std::move(tuning));
+    job->cfg = {o.d_threshold, o.local_capacity, o.update_weights, o.trace};
+    // JobTicket::cancel stops the scheduler, so the per-expansion check
+    // reads only the caller's flag (none: one untaken branch).
+    job->ctl.arm(o.limits, o.cancel);
+    job->ctl.on_solution = o.on_solution;
+    job->ctl.fork_nodes = r.fork_nodes;
+    job->ctl.fork_tag_count = r.fork_tag_count;
     job->net->push_root(job->expander->make_root(r.query));
     for (std::size_t i = 0; i < r.forks.size(); ++i) {
       search::DetachedNode root = job->expander->make_root(r.forks[i]);
       root.fork_tag = static_cast<std::uint32_t>(i + 1);
       job->net->push_root(std::move(root));
-    }
-    job->ctl.fork_nodes = r.fork_nodes;
-    job->ctl.fork_tag_count = r.fork_tag_count;
-    if (r.on_answer) {
-      JobState* js = job.get();
-      job->ctl.on_solution = [js](const search::Solution& s) {
-        js->req.on_answer(s);
-      };
     }
     job->wstats.resize(job->slots);
   }
@@ -217,8 +229,8 @@ bool Executor::cancel_job(const std::shared_ptr<detail::JobState>& job) {
       report_stop(job->ctl.stop_cause, search::Outcome::Cancelled);
       job->net->stop();
     }
-    // Sequential running jobs only need cancel_flag (checked by the
-    // engine once per expansion).
+    // A running sequential job reads cancel_flag once per expansion
+    // (unless it carries the caller's flag instead).
   }
   obs::trace(job->req.opts.trace, obs::client_lane(),
              obs::EventKind::kJobCancel, static_cast<std::uint32_t>(job->id));
@@ -231,8 +243,8 @@ bool Executor::cancel_job(const std::shared_ptr<detail::JobState>& job) {
 }
 
 void Executor::worker_main(unsigned worker) {
-  // NUMA placement mirrors ParallelEngine's: round-robin across detected
-  // nodes, pinned once for the pool's lifetime (best effort).
+  // NUMA placement: round-robin across detected nodes, pinned once for
+  // the pool's lifetime (best effort).
   const Topology& topo = Topology::system();
   unsigned numa_node = 0;
   if (opts_.numa_aware && !topo.single_node()) {
@@ -297,13 +309,13 @@ void Executor::worker_main(unsigned worker) {
 void Executor::run_sequential(detail::JobState& job) {
   JobRequest& r = job.req;
   search::SearchOptions so;
-  so.strategy = r.strategy;
+  so.strategy = *r.strategy;
   so.limits = r.opts.limits;
   so.update_weights = r.opts.update_weights;
   so.expander = r.opts.expander;
   so.trace = r.opts.trace;
-  so.cancel = &job.cancel_flag;
-  if (r.on_answer) so.on_solution = r.on_answer;
+  so.cancel = r.opts.cancel != nullptr ? r.opts.cancel : &job.cancel_flag;
+  so.on_solution = r.opts.on_solution;
   search::SearchEngine eng(*r.program, *r.weights, r.builtins);
   auto sr = eng.solve(r.query, so);
 

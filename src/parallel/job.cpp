@@ -7,29 +7,6 @@
 
 namespace blog::parallel {
 
-std::unique_ptr<WorkStealingScheduler> prepare_job(
-    const ParallelOptions& opts, unsigned slots, bool numa_aware,
-    const std::atomic<bool>* cancel, JobControls& ctl, JobConfig& cfg) {
-  SchedulerTuning tuning;
-  tuning.adaptive = opts.adaptive_capacity;
-  tuning.ewma_window = opts.capacity_ewma_window;
-  tuning.local_capacity_seed = opts.local_capacity;
-  tuning.numa_aware = numa_aware;
-  tuning.locality_bias = opts.numa_locality_bias;
-  tuning.mailbox_claim_limit = opts.mailbox_claim_limit;  // scheduler clamps
-  tuning.stale_refresh_us = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-      opts.stale_refresh_interval.count(), 0,
-      std::numeric_limits<std::uint32_t>::max()));
-  tuning.trace = opts.trace;
-  ctl.arm(opts.limits, cancel);
-  cfg.d_threshold = opts.d_threshold;
-  cfg.local_capacity = opts.local_capacity;
-  cfg.update_weights = opts.update_weights;
-  cfg.trace = opts.trace;
-  return std::make_unique<WorkStealingScheduler>(
-      slots, opts.steal_deque_capacity, std::move(tuning));
-}
-
 void report_stop(std::atomic<int>& cause, search::Outcome o) {
   int expected = -1;
   cause.compare_exchange_strong(expected, static_cast<int>(o),

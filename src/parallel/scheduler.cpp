@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "blog/parallel/topology.hpp"
 
 namespace blog::parallel {
 namespace {
@@ -46,15 +45,9 @@ WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
   // claim is the floor, enforced here so every construction path (not
   // just the engine) is safe.
   tuning_.mailbox_claim_limit = std::max(1u, tuning_.mailbox_claim_limit);
-  // Worker→node placement: an explicit tuning map wins (tests, custom
-  // layouts); otherwise round-robin over the detected host topology. A
-  // single-node host tags every deque 0, which makes every locality
-  // branch below collapse to the pre-NUMA scan.
-  const Topology* topo = nullptr;
-  if (tuning_.worker_nodes.empty() && tuning_.numa_aware) {
-    topo = &Topology::system();
-    if (topo->single_node()) topo = nullptr;
-  }
+  // Deque→node tags come only from an explicit tuning map (tests, custom
+  // layouts); without one every deque is tagged 0, which makes every
+  // locality branch below collapse to the plain minimum scan.
   const std::int64_t now = now_us();
   deques_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
@@ -63,8 +56,6 @@ WorkStealingScheduler::WorkStealingScheduler(unsigned workers,
     d->pub_stamp_us.store(now, std::memory_order_relaxed);
     if (!tuning_.worker_nodes.empty())
       d->node = tuning_.worker_nodes[w % tuning_.worker_nodes.size()];
-    else if (topo != nullptr)
-      d->node = topo->node_of_worker(w);
     d->cap.store(static_cast<std::uint32_t>(capacity_seed_),
                  std::memory_order_relaxed);
     d->local_hint.store(

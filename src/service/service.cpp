@@ -320,7 +320,7 @@ void QueryService::dispatch_locked(
   jr.keepalive = st->snap;
   if (st->sopts.on_answer || st->stream) {
     auto held = st;
-    jr.on_answer = [held](const search::Solution& sol) {
+    jr.opts.on_solution = [held](const search::Solution& sol) {
       held->svc->deliver_answer(held.get(), sol.text);
     };
   }

@@ -1,7 +1,9 @@
 #include "blog/term/writer.hpp"
 
 #include <cctype>
-#include <sstream>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 namespace blog::term {
 namespace {
@@ -20,22 +22,71 @@ bool atom_needs_quotes(const std::string& name) {
   return false;
 }
 
+/// One pending step of the writer: a term still to write, a list tail
+/// still to continue, or literal text still to emit.
+struct Step {
+  enum Kind : std::uint8_t { Term, ListTail, Text };
+  Kind kind;
+  int prec;          ///< Term: the context's maximum priority
+  TermRef t;         ///< Term / ListTail
+  const char* text;  ///< Text: a string literal
+};
+
+/// Explicit-stack writer: answers can nest far deeper than the native
+/// stack allows, so no step recurses. A step pushes its parts in reverse
+/// so they pop in output order.
 struct Writer {
   const Store& s;
   const WriteOptions& opts;
-  std::ostringstream os;
+  std::string& out;
+  std::vector<Step>& stack;
+
+  void term(TermRef t, int prec) {
+    stack.push_back({Step::Term, prec, t, nullptr});
+  }
+  void text(const char* str) {
+    stack.push_back({Step::Text, 0, kNullTerm, str});
+  }
 
   void atom(Symbol sym) {
     const std::string& name = symbol_name(sym);
     if (opts.quoted && atom_needs_quotes(name)) {
-      os << '\'';
+      out += '\'';
       for (char c : name) {
-        if (c == '\'') os << "''";
-        else os << c;
+        if (c == '\'') out += "''";
+        else out += c;
       }
-      os << '\'';
+      out += '\'';
     } else {
-      os << name;
+      out += name;
+    }
+  }
+
+  void run(TermRef root) {
+    term(root, 1200);
+    while (!stack.empty()) {
+      const Step step = stack.back();
+      stack.pop_back();
+      switch (step.kind) {
+        case Step::Text: out += step.text; break;
+        case Step::ListTail: list_tail(step.t); break;
+        case Step::Term: write(step.t, step.prec); break;
+      }
+    }
+  }
+
+  // The rest of a list after an element: more elements, a `|Tail`, or
+  // nothing (the closing bracket is already on the stack).
+  void list_tail(TermRef tail) {
+    tail = s.deref(tail);
+    if (s.is_struct(tail) && s.functor(tail) == cons_symbol() &&
+        s.arity(tail) == 2) {
+      out += ',';
+      stack.push_back({Step::ListTail, 0, s.arg(tail, 1), nullptr});
+      term(s.arg(tail, 0), 999);
+    } else if (!(s.is_atom(tail) && s.atom_name(tail) == nil_symbol())) {
+      out += '|';
+      term(tail, 999);
     }
   }
 
@@ -45,9 +96,10 @@ struct Writer {
       case Tag::Var: {
         const Symbol name = s.var_name(t);
         if (!name.empty() && symbol_name(name) != "_") {
-          os << symbol_name(name);
+          out += symbol_name(name);
         } else {
-          os << "_G" << t;
+          out += "_G";
+          out += std::to_string(t);
         }
         return;
       }
@@ -55,7 +107,7 @@ struct Writer {
         atom(s.atom_name(t));
         return;
       case Tag::Int:
-        os << s.int_value(t);
+        out += std::to_string(s.int_value(t));
         return;
       case Tag::Struct:
         break;
@@ -67,20 +119,10 @@ struct Writer {
 
     // Lists.
     if (f == cons_symbol() && ar == 2) {
-      os << '[';
-      write(s.arg(t, 0), 999);
-      TermRef tail = s.deref(s.arg(t, 1));
-      while (s.is_struct(tail) && s.functor(tail) == cons_symbol() &&
-             s.arity(tail) == 2) {
-        os << ',';
-        write(s.arg(tail, 0), 999);
-        tail = s.deref(s.arg(tail, 1));
-      }
-      if (!(s.is_atom(tail) && s.atom_name(tail) == nil_symbol())) {
-        os << '|';
-        write(tail, 999);
-      }
-      os << ']';
+      out += '[';
+      text("]");
+      stack.push_back({Step::ListTail, 0, s.arg(t, 1), nullptr});
+      term(s.arg(t, 0), 999);
       return;
     }
 
@@ -102,45 +144,53 @@ struct Writer {
       for (const Op& op : kOps) {
         if (name == op.name) {
           const bool paren = op.prec > max_prec;
-          if (paren) os << '(';
-          write(s.arg(t, 0), op.lmax);
+          if (paren) {
+            out += '(';
+            text(")");
+          }
+          term(s.arg(t, 1), op.rmax);
           const bool alpha = std::isalpha(static_cast<unsigned char>(name[0]));
-          os << (name == "," ? "" : (alpha ? " " : ""));
-          if (name == ",") os << ',';
-          else if (alpha) os << name << ' ';
-          else os << name;
-          write(s.arg(t, 1), op.rmax);
-          if (paren) os << ')';
+          if (alpha) text(" ");
+          text(op.name);
+          if (alpha) text(" ");
+          term(s.arg(t, 0), op.lmax);
           return;
         }
       }
     }
     if (ar == 1 && (name == "-" || name == "\\+")) {
       const bool paren = 200 > max_prec;
-      if (paren) os << '(';
-      os << name;
-      if (name == "\\+") os << ' ';
-      write(s.arg(t, 0), 200);
-      if (paren) os << ')';
+      if (paren) {
+        out += '(';
+        text(")");
+      }
+      out += name;
+      if (name == "\\+") out += ' ';
+      term(s.arg(t, 0), 200);
       return;
     }
 
     atom(f);
-    os << '(';
-    for (std::uint32_t i = 0; i < ar; ++i) {
-      if (i) os << ',';
-      write(s.arg(t, i), 999);
+    out += '(';
+    text(")");
+    for (std::uint32_t i = ar; i-- > 0;) {
+      term(s.arg(t, i), 999);
+      if (i) text(",");
     }
-    os << ')';
   }
 };
 
 }  // namespace
 
 std::string to_string(const Store& store, TermRef t, const WriteOptions& opts) {
-  Writer w{store, opts, {}};
-  w.write(t, 1200);
-  return std::move(w.os).str();
+  // One step stack per thread, reused: rendering a small answer allocates
+  // only its text. A stack a very deep term grew is released afterwards.
+  constexpr std::size_t kKeptSteps = 4096;
+  thread_local std::vector<Step> stack;
+  std::string out;
+  Writer{store, opts, out, stack}.run(t);
+  if (stack.capacity() > kKeptSteps) stack = {};
+  return out;
 }
 
 }  // namespace blog::term

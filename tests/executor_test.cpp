@@ -73,12 +73,16 @@ TEST(Executor, SequentialAndParallelJobsMatchColdInterpreter) {
     jr.builtins = &ip.builtins();
     jr.query = ip.parse_query("path(n0_0,Z,P)");
     jr.slots = slots;
+    // A one-slot job with a strategy runs the sequential engine.
+    if (slots == 1) jr.strategy = search::Strategy::BestFirst;
     jr.opts.update_weights = false;
     JobTicket t = exec.submit(std::move(jr));
     ASSERT_TRUE(t.valid());
     const auto& r = t.wait();
     EXPECT_TRUE(t.poll());
     EXPECT_EQ(r.outcome, search::Outcome::Exhausted) << "slots " << slots;
+    // The sequential engine never takes a chain from a scheduler.
+    if (slots == 1) EXPECT_EQ(r.workers.at(0).network_takes, 0u);
     std::vector<std::string> texts;
     for (const auto& s : r.solutions) texts.push_back(s.text);
     EXPECT_EQ(engine::solution_texts(std::move(texts)), expect)
@@ -137,7 +141,7 @@ TEST(Executor, OnAnswerStreamsAndOnCompleteFiresBeforeWait) {
   jr.query = ip.parse_query("gf(sam,G)");
   jr.slots = 2;
   jr.opts.update_weights = false;
-  jr.on_answer = [&](const search::Solution& s) {
+  jr.opts.on_solution = [&](const search::Solution& s) {
     std::lock_guard lock(mu);
     streamed.push_back(s.text);
   };
@@ -149,6 +153,50 @@ TEST(Executor, OnAnswerStreamsAndOnCompleteFiresBeforeWait) {
   const auto& r = t.wait();
   EXPECT_TRUE(completed.load());  // callback ran before wait() returned
   EXPECT_EQ(streamed.size(), r.solutions.size());
+}
+
+// The caller's ParallelOptions hooks reach both job kinds: on_solution
+// streams every answer, and a set cancel flag stops the job as Cancelled.
+TEST(Executor, CallerHooksReachSequentialAndScheduledJobs) {
+  engine::Interpreter ip;
+  ip.consult_string(workloads::layered_dag(4, 3));
+  const auto expect = cold_texts(workloads::layered_dag(4, 3),
+                                 "path(n0_0,Z,P)");
+  Executor exec({.workers = 2});
+  const auto request = [&](unsigned slots) {
+    JobRequest jr;
+    jr.program = &ip.program();
+    jr.weights = &ip.weights();
+    jr.builtins = &ip.builtins();
+    jr.query = ip.parse_query("path(n0_0,Z,P)");
+    jr.slots = slots;
+    if (slots == 1) jr.strategy = search::Strategy::DepthFirst;
+    jr.opts.update_weights = false;
+    return jr;
+  };
+  for (const unsigned slots : {1u, 2u}) {
+    std::mutex mu;
+    std::vector<std::string> streamed;
+    JobRequest jr = request(slots);
+    jr.opts.on_solution = [&](const search::Solution& s) {
+      std::lock_guard lock(mu);
+      streamed.push_back(s.text);
+    };
+    const JobTicket t = exec.submit(std::move(jr));
+    const auto& r = t.wait();
+    EXPECT_EQ(r.outcome, search::Outcome::Exhausted) << "slots " << slots;
+    EXPECT_EQ(streamed.size(), r.solutions.size()) << "slots " << slots;
+    EXPECT_EQ(engine::solution_texts(std::move(streamed)), expect)
+        << "slots " << slots;
+
+    const std::atomic<bool> cancel{true};
+    JobRequest cj = request(slots);
+    cj.opts.cancel = &cancel;
+    const JobTicket ct = exec.submit(std::move(cj));
+    const auto& c = ct.wait();
+    EXPECT_EQ(c.outcome, search::Outcome::Cancelled) << "slots " << slots;
+    EXPECT_TRUE(c.solutions.empty()) << "slots " << slots;
+  }
 }
 
 TEST(Executor, QueueLimitRefusesWithoutBlocking) {

@@ -415,9 +415,20 @@ TEST(ChromeTrace, TracedParallelSolveExportsWorkerEvents) {
   EXPECT_EQ(sink.dropped(), 0u);
 
   // Expansion work must show up as burst events attributed to worker lanes.
+  // The solve is one executor job: its submit and done events belong to
+  // the threads that submitted and completed it, and appear once each.
   std::uint64_t burst_total = 0;
   bool saw_solution = false;
+  int submits = 0, dones = 0;
   for (const auto& e : sink.snapshot()) {
+    if (e.kind == static_cast<std::uint16_t>(EventKind::kJobSubmit)) {
+      ++submits;
+      continue;
+    }
+    if (e.kind == static_cast<std::uint16_t>(EventKind::kJobDone)) {
+      ++dones;
+      continue;
+    }
     EXPECT_LT(e.lane, obs::kClientLaneBase);  // engine events: worker lanes
     EXPECT_LT(e.lane, 4);
     if (e.kind == static_cast<std::uint16_t>(EventKind::kExpandBurst))
@@ -427,6 +438,8 @@ TEST(ChromeTrace, TracedParallelSolveExportsWorkerEvents) {
   }
   EXPECT_EQ(burst_total, r.nodes_expanded);
   EXPECT_TRUE(saw_solution);
+  EXPECT_EQ(submits, 1);
+  EXPECT_EQ(dones, 1);
 
   std::ostringstream out;
   obs::write_chrome_trace(sink, out);

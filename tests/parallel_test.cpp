@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <filesystem>
 
 #include "blog/parallel/engine.hpp"
 
@@ -183,6 +185,51 @@ TEST(Parallel, SingleWorkerMatchesSequentialNodeCount) {
   ParallelEngine pe(ip2.program(), ip2.weights(), &ip2.builtins(), o);
   auto r = pe.solve(ip2.parse_query("gf(sam,G)"));
   EXPECT_EQ(r.nodes_expanded, seq.stats.nodes_expanded);
+  // One worker still runs on the scheduler: the root arrives through it.
+  ASSERT_EQ(r.workers.size(), 1u);
+  EXPECT_GE(r.workers[0].network_takes, 1u);
+}
+
+// The engine's workers are one pool made at construction: repeated solves
+// never start threads. Sampled from on_solution, i.e. while the searches
+// run — a solve that spawned its own workers would be caught holding them.
+TEST(Parallel, RepeatedSolvesSpawnNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task"))
+    GTEST_SKIP() << "needs /proc/self/task";
+  const auto live_threads = [] {
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto& e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+      ++n;
+    return n;
+  };
+  Interpreter ip;
+  ip.consult_string(layered_dag(3, 3));
+  std::atomic<std::size_t> peak{0};
+  std::atomic<int> samples{0};
+  ParallelOptions o;
+  o.workers = 4;
+  o.update_weights = false;
+  o.on_solution = [&](const search::Solution&) {
+    const std::size_t n = live_threads();
+    std::size_t p = peak.load();
+    while (n > p && !peak.compare_exchange_weak(p, n)) {
+    }
+    ++samples;
+  };
+  ParallelEngine pe(ip.program(), ip.weights(), &ip.builtins(), o);
+  const std::size_t baseline = live_threads();  // main + pool + ticker
+  EXPECT_GE(baseline, 1u + 4u);
+  std::size_t answers = 0;
+  for (int i = 0; i < 8; ++i) {
+    const auto r = pe.solve(ip.parse_query("path(n0_0,Z,P)"));
+    ASSERT_TRUE(r.exhausted);
+    answers += r.solutions.size();
+  }
+  EXPECT_EQ(static_cast<std::size_t>(samples.load()), answers);
+  EXPECT_GT(answers, 0u);
+  EXPECT_LE(peak.load(), baseline);
+  EXPECT_EQ(live_threads(), baseline);
 }
 
 }  // namespace

@@ -525,8 +525,11 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     EXPECT_TRUE(res.solutions.empty());
     EXPECT_EQ(res.join_resolves, 0u);
   }
-  {
-    // Pre-set cancel flag: workers stop at their first expansion boundary.
+  // Pre-set cancel flag: workers stop at their first expansion boundary,
+  // on a pool made for the call and on a caller's executor alike.
+  parallel::Executor exec({.workers = 2});
+  for (parallel::Executor* ex : {static_cast<parallel::Executor*>(nullptr),
+                                 &exec}) {
     std::atomic<bool> cancel{true};
     Interpreter ip;
     ip.consult_string(w.program);
@@ -535,8 +538,10 @@ TEST_P(AndOrGrid, CancellationMidJoinLeaksNoPartialAnswers) {
     o.search.cancel = &cancel;
     o.fork = fork;
     o.workers = workers;
+    o.executor = ex;
     const auto res = andp::solve_and_parallel(ip, w.query, o);
-    EXPECT_EQ(res.outcome, search::Outcome::Cancelled);
+    EXPECT_EQ(res.outcome, search::Outcome::Cancelled)
+        << "executor=" << (ex != nullptr);
     EXPECT_TRUE(res.solutions.empty());
     EXPECT_EQ(res.join_resolves, 0u);
   }

@@ -92,6 +92,37 @@ TEST(Service, DeeplyNestedQueryIsAParseError) {
   EXPECT_EQ(svc.query("p(X)").status, QueryStatus::Ok);  // still serving
 }
 
+// 100 goals Xi = f(...1000 deep...(Xi+1)), about 301 KB of text: each goal
+// parses under the reader's depth cap, but the answer binds X1 to a term
+// 100k deep. Rendering it must not overflow the stack.
+TEST(Service, DeepAnswerIsRenderedNotACrash) {
+  constexpr int kGoals = 100;
+  constexpr int kDepth = 1000;
+  std::string text;
+  for (int g = 1; g <= kGoals; ++g) {
+    if (g > 1) text += ',';
+    text += 'X';
+    text += std::to_string(g);
+    text += '=';
+    for (int d = 0; d < kDepth; ++d) text += "f(";
+    text += 'X';
+    text += std::to_string(g + 1);
+    text.append(kDepth, ')');
+  }
+  ASSERT_GT(text.size(), 300'000u);
+  QueryService svc;
+  svc.consult("p(1).");
+  const auto r = svc.query(text);
+  ASSERT_EQ(r.status, QueryStatus::Ok) << r.error;
+  ASSERT_EQ(r.answers.size(), 1u);
+  // X1's binding alone is kGoals * kDepth levels deep.
+  const std::string& answer = r.answers[0];
+  ASSERT_EQ(answer.rfind("X1=", 0), 0u);
+  EXPECT_EQ(answer.find_first_not_of("f(", 3),
+            3 + 2u * kGoals * kDepth);
+  EXPECT_EQ(svc.query("p(X)").status, QueryStatus::Ok);  // still serving
+}
+
 TEST(Service, ParallelWorkersMatchSequential) {
   const std::string dag = workloads::layered_dag(4, 3);
   QueryService svc;

@@ -150,6 +150,41 @@ TEST(Store, CopiesMillionDeepTermIteratively) {
   EXPECT_EQ(as_of.deref(out[1]), leaf);
 }
 
+// The writer keeps its own stack: a term far deeper than the native stack
+// allows renders instead of overflowing it.
+TEST(Writer, RendersMillionDeepTermIteratively) {
+  constexpr std::size_t kDepth = 1'000'000;
+  Store s;
+  const Symbol f = intern("f");
+  TermRef t = s.make_atom("x");
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    const TermRef arg[1] = {t};
+    t = s.make_struct(f, arg);
+  }
+  const std::string text = to_string(s, t);
+  ASSERT_EQ(text.size(), 3 * kDepth + 1);
+  EXPECT_EQ(text.find_first_not_of("f("), 2 * kDepth);
+  EXPECT_EQ(text[2 * kDepth], 'x');
+  EXPECT_EQ(text.find_first_not_of(')', 2 * kDepth + 1), std::string::npos);
+
+  // Operators and lists nest the same way: 1-(1-(...)) and [[...]].
+  TermRef ops = s.make_int(1);
+  TermRef list = s.make_atom("[]");
+  const Symbol minus = intern("-");
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    const TermRef args[2] = {s.make_int(1), ops};
+    ops = s.make_struct(minus, args);
+    const TermRef item[1] = {list};
+    list = s.make_list(item);
+  }
+  const std::string op_text = to_string(s, ops);
+  EXPECT_EQ(op_text.size(), 4 * kDepth + 1 - 2);  // outermost: no parens
+  EXPECT_EQ(op_text.substr(0, 7), "1-(1-(1");
+  const std::string list_text = to_string(s, list);
+  EXPECT_EQ(list_text.size(), 2 * kDepth + 2);
+  EXPECT_EQ(list_text.substr(0, 3), "[[[");
+}
+
 // -------------------------------------------------------------- var map --
 
 TEST(VarMap, InsertFindAndOverwrite) {

@@ -18,6 +18,11 @@ Checks, each independent (all run; any failure fails the process):
    reference (the literal string "ISSUE" on the same line), so stale notes
    can be traced to a tracked task.
 
+4. One thread owner: the library starts worker threads only in the
+   persistent pool (parallel/executor.*). Any other `std::thread` or
+   `std::jthread` object in src/ or include/ is a second way to run
+   workers and fails the check.
+
 Exit code 0 = clean, 1 = findings (printed one per line, grep-friendly).
 """
 
@@ -131,11 +136,33 @@ def check_todo_references() -> None:
                         "without ISSUE reference")
 
 
+# A thread object: the type named anywhere but before `::` (so
+# `std::thread::hardware_concurrency()` and `std::this_thread` pass).
+THREAD_OBJECT = re.compile(r"\bstd::j?thread\b(?!\s*::)")
+THREAD_OWNERS = {"executor.hpp", "executor.cpp"}
+
+
+def check_thread_owner() -> None:
+    for root in ["src", "include"]:
+        for f in sorted((REPO / root).rglob("*")):
+            if f.suffix not in {".hpp", ".cpp", ".h", ".cc"}:
+                continue
+            if f.parent.name == "parallel" and f.name in THREAD_OWNERS:
+                continue
+            for lineno, line in enumerate(f.read_text().splitlines(), 1):
+                code = line.split("//", 1)[0]
+                if THREAD_OBJECT.search(code):
+                    rel = f.relative_to(REPO)
+                    err(f"{rel}:{lineno}: std::thread outside "
+                        "parallel/executor.*: run workers on the Executor")
+
+
 def main() -> int:
     check_head_ops()
     check_trace_events()
     check_header_self_containment()
     check_todo_references()
+    check_thread_owner()
     if ERRORS:
         print(f"lint_blog: {len(ERRORS)} finding(s)", file=sys.stderr)
         return 1
